@@ -14,10 +14,11 @@
 # drop-free paced replay, and the tier schema-checks the
 # BENCH_serve.json it writes), a CLI replay smoke, and its whole test
 # binary under ThreadSanitizer alongside the serialization round-trip
-# tests. The model-quality monitor gets a `chaos monitor`
-# replay smoke (clean replay => zero drift events, telemetry is
+# tests. The model-quality monitor gets a `chaos serve --replay
+# --monitor 1` smoke (clean replay => zero drift events, telemetry is
 # well-formed JSONL) and its tests run under ThreadSanitizer too.
-# The self-healing autopilot gets a `chaos autopilot` replay smoke
+# The self-healing autopilot gets a `chaos serve --replay
+# --autopilot 1` smoke
 # (an injected stuck-counter fault must be quarantined, retrained,
 # and canary-promoted within the replay; a clean replay must report
 # zero remediations) and its tests run under ThreadSanitizer. The
@@ -33,6 +34,8 @@
 # `chaos serve --listen` + `chaos loadgen` loopback smoke with
 # accounting checked on both ends, the wire-protocol fuzz suite under
 # ASan+UBSan, and its whole test binary under ThreadSanitizer. The
+# JSON reader's accept/reject corpus and mutation fuzz (test_obs) run
+# under ASan+UBSan too. The
 # latency-tracing / flight-recorder layer gets its stage_latency and
 # stage_overhead sections schema-checked in BENCH_serve.json (the
 # bench itself gates the tracing overhead on the batched drain path),
@@ -287,9 +290,9 @@ grep -q '"dur_ns"' "$bundle" || {
 }
 
 echo
-echo "== tier 1: chaos monitor replay smoke =="
-./build/tools/chaos monitor --replay "$serve_tmp/trace.csv" \
-    --model "$serve_tmp/model.txt" --platform Core2 \
+echo "== tier 1: chaos serve --monitor replay smoke =="
+./build/tools/chaos serve --replay "$serve_tmp/trace.csv" \
+    --model "$serve_tmp/model.txt" --platform Core2 --monitor 1 \
     --telemetry-out "$serve_tmp/telemetry.jsonl" \
     | tee "$serve_tmp/monitor.out"
 # A model replayed over its own training trace must not drift.
@@ -315,12 +318,12 @@ for record_type in fleet quality metrics; do
 done
 
 echo
-echo "== tier 1: chaos autopilot self-healing smoke =="
+echo "== tier 1: chaos serve --autopilot self-healing smoke =="
 # Injected stuck counters on machine0: the autopilot must complete at
 # least one quarantine -> retrain -> promote cycle and hand the
 # machine back to serving.
-./build/tools/chaos autopilot --replay "$serve_tmp/trace.csv" \
-    --model "$serve_tmp/model.txt" --platform Core2 \
+./build/tools/chaos serve --replay "$serve_tmp/trace.csv" \
+    --model "$serve_tmp/model.txt" --platform Core2 --autopilot 1 \
     --warmup 40 --window 30 --min-retrain-samples 32 \
     --canary-samples 16 --cooldown 30 \
     --inject-stuck machine0 --inject-at 60 \
@@ -339,8 +342,8 @@ grep -q '| machine0 | serving' "$serve_tmp/autopilot.out" || {
     exit 1
 }
 # A clean replay of the same trace must not remediate anything.
-./build/tools/chaos autopilot --replay "$serve_tmp/trace.csv" \
-    --model "$serve_tmp/model.txt" --platform Core2 \
+./build/tools/chaos serve --replay "$serve_tmp/trace.csv" \
+    --model "$serve_tmp/model.txt" --platform Core2 --autopilot 1 \
     --warmup 40 --window 30 \
     | tee "$serve_tmp/autopilot_clean.out"
 grep -q 'autopilot summary: quarantines=0 retrains=0 promotions=0 rollbacks=0 failures=0' \
@@ -353,8 +356,12 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight
+    test_flight test_obs
 ./build-asan/tests/test_faults
+
+echo
+echo "== tier 1: JSON reader corpus + mutation fuzz under ASan+UBSan =="
+./build-asan/tests/test_obs
 
 echo
 echo "== tier 1: flight-recorder trigger storm under ASan+UBSan =="

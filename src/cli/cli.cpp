@@ -4,13 +4,17 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
-#include <set>
+#include <numeric>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "autopilot/autopilot.hpp"
+#include "cli/args.hpp"
 #include "core/chaos.hpp"
 #include "core/pooling.hpp"
 #include "faults/scenarios.hpp"
@@ -23,7 +27,6 @@
 #include "models/linear.hpp"
 #include "monitor/exporter.hpp"
 #include "net/ingest_server.hpp"
-#include "net/loadgen.hpp"
 #include "net/socket.hpp"
 #include "monitor/fleet_monitor.hpp"
 #include "obs/flight.hpp"
@@ -43,34 +46,158 @@
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
 
-namespace chaos {
+namespace chaos::cli {
+
+void
+writeTextFile(const std::string &path, const std::string &content)
+{
+    std::ofstream file(path);
+    raiseIf(!file, "cannot write " + path);
+    file << content;
+    file.flush();
+    raiseIf(!file.good(), "failed writing " + path);
+}
+
+/** The `chaos help` text; usageError() reuses its entries. */
+const char *const kHelpText =
+    "chaos — OS-counter power models (CHAOS, IISWC 2012)\n\n"
+    "subcommands:\n"
+    "  list-platforms                     supported machine "
+        "classes\n"
+    "  list-counters [--category C]       the counter catalog\n"
+    "  probe <platform>                   idle/max power of "
+        "one machine\n"
+    "  collect <platform> --out F.csv     run the workload "
+        "campaign, save dataset\n"
+    "      [--machines N] [--runs N] [--seed S] [--scale F]\n"
+    "  select <data.csv>                  run Algorithm 1 "
+        "feature selection\n"
+    "  train <data.csv> --out model.txt   fit a deployable "
+        "model\n"
+    "      [--type T] [--features \"a;b\"] [--seed S]\n"
+    "  evaluate <data.csv>                cross-validated "
+        "accuracy\n"
+    "      [--type T] [--folds K] [--seed S]\n"
+    "  predict <model.txt> <data.csv>     apply a saved model\n"
+    "  serve --replay <data.csv>          stream a recorded "
+        "trace through the fleet server\n"
+    "      (--model M.txt | --fleet manifest.txt) [--speed X] "
+        "[--platform P]\n"
+    "      [--shards N] [--queue-capacity N] "
+        "[--snapshot-every N] [--snapshots-out F]\n"
+    "      [--monitor 1 [--window N] [--warmup N] "
+        "[--drift-lambda L] [--drift-delta D]]\n"
+    "      [--autopilot 1 [--substitute pooled|lastgood] "
+        "[--retrain-type T] [--canary-samples N]\n"
+    "          [--cooldown N] [--max-retrains N] "
+        "[--reference-window N] [--min-retrain-samples N]]\n"
+    "      [--inject-stuck \"id;id\"] [--inject-at T] "
+        "[--inject-stagger N]\n"
+    "      [--telemetry-out F.jsonl|tcp://h:p] [--telemetry-every N] "
+        "[--dashboard-every N]\n"
+    "      (lockstep: each tick drains before the next; "
+        "--autopilot implies --monitor)\n"
+    "  serve --listen PORT                accept wire-protocol "
+        "samples over TCP (0 = ephemeral)\n"
+    "      [--machines N] [--model M.txt | --fleet F] "
+        "[--platform P] [--port-file F]\n"
+    "      [--ingest-max-samples N] [--ingest-idle-ms MS] "
+        "[--credit-batch N] [--stats-out F]\n"
+    "      [--monitor 1 [--window N] [--warmup N] "
+        "[--drift-lambda L] [--drift-delta D]]\n"
+    "      [--flight-dir DIR [--flight-window-ms MS] "
+        "[--flight-rate-limit-ms MS]]\n"
+    "  loadgen --target host:port         drive an ingest "
+        "server with concurrent connections\n"
+    "      [--connections N] [--samples N] [--machines N] "
+        "[--rate R]\n"
+    "      [--window N] [--workers N] [--metered-every N] "
+        "[--report-json F]\n"
+    "      [--replay data.csv [--inject-stuck \"id;id\"] "
+        "[--inject-at T] [--inject-stagger N]]\n"
+    "  top --target host:port             live dashboard over "
+        "a serving `chaos serve --listen`\n"
+    "      [--json 1] [--interval-ms MS] [--count N] "
+        "[--timeout-ms MS]\n"
+    "  fleetview                          hierarchical "
+        "quality roll-up dashboard\n"
+    "      (--synthetic N | --telemetry F.jsonl | --replay "
+        "data.csv (--model M | --fleet F))\n"
+    "      [--ticks N] [--seed S] [--worst N] [--path "
+        "dc0/row1] [--rollup-out F.jsonl]\n"
+    "      [--group-size N] [--platform P]\n"
+    "  report <data.csv>                  markdown dataset "
+        "summary\n"
+    "\nglobal flags (any subcommand):\n"
+    "  --log-level L      debug|info|warn|error|silent\n"
+    "  --trace-out F      write a Chrome trace-event JSON "
+        "(chrome://tracing)\n"
+    "  --trace-summary F  write the human-readable phase-tree "
+        "summary\n"
+    "  --metrics-out F    write the metrics registry snapshot "
+        "as JSON\n";
+
+int
+usageError(const std::string &command, std::ostream &err)
+{
+    std::istringstream help(kHelpText);
+    bool inEntry = false;
+    err << "usage:\n";
+    for (std::string line; std::getline(help, line);) {
+        const bool continuation = startsWith(line, "      ");
+        if (!continuation)
+            inEntry = startsWith(line, "  " + command + " ");
+        if (inEntry)
+            err << (continuation ? line : "  chaos " + line.substr(2))
+                << "\n";
+    }
+    return 2;
+}
+
+// Ids are replay-style ("machine<N>"); rows keep their recorded
+// order, with a per-machine tick counter driving the storm.
+Dataset
+withInjectedFaults(const ParsedArgs &args, const Dataset &data)
+{
+    if (!args.has("inject-stuck"))
+        return data;
+    std::vector<std::string> targets;
+    for (const std::string &part :
+         split(args.flagOr("inject-stuck", ""), ';')) {
+        const std::string id = trim(part);
+        if (!id.empty())
+            targets.push_back(id);
+    }
+    DriftStormConfig stormConfig;
+    stormConfig.machines = targets.size();
+    stormConfig.onsetTick = args.number<std::size_t>("inject-at", 0);
+    stormConfig.staggerTicks =
+        args.number<std::size_t>("inject-stagger", 0);
+    stormConfig.seed = args.number<std::uint64_t>("seed", 2012);
+    DriftStorm storm(stormConfig);
+
+    Dataset faulted(data.featureNames());
+    std::map<int, std::size_t> tickOf;
+    for (size_t r = 0; r < data.numRows(); ++r) {
+        const int machine = data.machineIds()[r];
+        const std::size_t tick = tickOf[machine]++;
+        std::vector<double> row = data.features().row(r);
+        const auto target =
+            std::find(targets.begin(), targets.end(),
+                      "machine" + std::to_string(machine));
+        if (target != targets.end()) {
+            row = storm.apply(
+                static_cast<std::size_t>(target - targets.begin()),
+                tick, std::move(row));
+        }
+        faulted.addRow(
+            row, data.powerW()[r], data.runIds()[r], machine,
+            data.workloadNames()[data.workloadIds()[r]]);
+    }
+    return faulted;
+}
 
 namespace {
-
-/** Parsed flags: positionals plus --key value pairs. */
-struct ParsedArgs
-{
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> flags;
-
-    std::string flagOr(const std::string &key,
-                       const std::string &fallback) const
-    {
-        const auto it = flags.find(key);
-        return it != flags.end() ? it->second : fallback;
-    }
-};
-
-// Defined with the dispatch plumbing below.
-void writeTextFile(const std::string &path,
-                   const std::string &content);
-
-// Defined with the autopilot plumbing below.
-Dataset injectStuckCounters(const Dataset &data,
-                            const std::vector<std::string> &targets,
-                            std::size_t onsetTick,
-                            std::size_t staggerTicks,
-                            std::uint64_t seed);
 
 /** Split args into positionals and --key value flags. */
 std::optional<ParsedArgs>
@@ -93,11 +220,10 @@ parseArgs(const std::vector<std::string> &args, std::ostream &err)
     return parsed;
 }
 
+/** Parse a --type name; raises RecoverableError on an unknown one. */
 ModelType
-modelTypeFromString(const std::string &name, std::ostream &err,
-                    bool &ok)
+modelTypeFromString(const std::string &name)
 {
-    ok = true;
     if (name == "linear")
         return ModelType::Linear;
     if (name == "piecewise")
@@ -106,106 +232,12 @@ modelTypeFromString(const std::string &name, std::ostream &err,
         return ModelType::Quadratic;
     if (name == "switching")
         return ModelType::Switching;
-    err << "error: unknown model type '" << name
-        << "' (linear|piecewise|quadratic|switching)\n";
-    ok = false;
-    return ModelType::Linear;
+    raise("unknown model type '" + name +
+          "' (linear|piecewise|quadratic|switching)");
 }
 
 int
-cmdHelp(std::ostream &out)
-{
-    out << "chaos — OS-counter power models (CHAOS, IISWC 2012)\n\n"
-        << "subcommands:\n"
-        << "  list-platforms                     supported machine "
-           "classes\n"
-        << "  list-counters [--category C]       the counter catalog\n"
-        << "  probe <platform>                   idle/max power of "
-           "one machine\n"
-        << "  collect <platform> --out F.csv     run the workload "
-           "campaign, save dataset\n"
-        << "      [--machines N] [--runs N] [--seed S] [--scale F]\n"
-        << "  select <data.csv>                  run Algorithm 1 "
-           "feature selection\n"
-        << "  train <data.csv> --out model.txt   fit a deployable "
-           "model\n"
-        << "      [--type T] [--features \"a;b\"] [--seed S]\n"
-        << "  evaluate <data.csv>                cross-validated "
-           "accuracy\n"
-        << "      [--type T] [--folds K] [--seed S]\n"
-        << "  predict <model.txt> <data.csv>     apply a saved model\n"
-        << "  serve --replay <data.csv>          stream a recorded "
-           "trace through the fleet server\n"
-        << "      (--model M.txt | --fleet manifest.txt) [--speed X] "
-           "[--platform P]\n"
-        << "      [--shards N] [--queue-capacity N] "
-           "[--snapshot-every N] [--snapshots-out F]\n"
-        << "  serve --listen PORT                accept wire-protocol "
-           "samples over TCP (0 = ephemeral)\n"
-        << "      [--machines N] [--model M.txt | --fleet F] "
-           "[--platform P] [--port-file F]\n"
-        << "      [--ingest-max-samples N] [--ingest-idle-ms MS] "
-           "[--credit-batch N] [--stats-out F]\n"
-        << "      [--monitor 1 [--window N] [--warmup N] "
-           "[--drift-lambda L] [--drift-delta D]]\n"
-        << "      [--flight-dir DIR [--flight-window-ms MS] "
-           "[--flight-rate-limit-ms MS]]\n"
-        << "  loadgen --target host:port         drive an ingest "
-           "server with concurrent connections\n"
-        << "      [--connections N] [--samples N] [--machines N] "
-           "[--rate R] [--jsonl 1]\n"
-        << "      [--window N] [--workers N] [--metered-every N] "
-           "[--report-json F]\n"
-        << "      [--replay data.csv [--inject-stuck \"id;id\"] "
-           "[--inject-at T] [--inject-stagger N]]\n"
-        << "  top --target host:port             live dashboard over "
-           "a serving `chaos serve --listen`\n"
-        << "      [--json 1] [--interval-ms MS] [--count N] "
-           "[--timeout-ms MS]\n"
-        << "  monitor --replay <data.csv>        replay with online "
-           "model-quality monitoring\n"
-        << "      (--model M.txt | --fleet manifest.txt) "
-           "[--platform P] [--speed X]\n"
-        << "      [--window N] [--warmup N] [--drift-lambda L] "
-           "[--drift-delta D]\n"
-        << "      [--telemetry-out F.jsonl|tcp://h:p] [--telemetry-every N] "
-           "[--dashboard-every N]\n"
-        << "  autopilot --replay <data.csv>      replay with "
-           "self-healing remediation\n"
-        << "      (--model M.txt | --fleet manifest.txt) "
-           "[--platform P] [--speed X]\n"
-        << "      [--window N] [--warmup N] [--drift-lambda L] "
-           "[--drift-delta D]\n"
-        << "      [--substitute pooled|lastgood] [--retrain-type T] "
-           "[--canary-samples N]\n"
-        << "      [--cooldown N] [--max-retrains N] "
-           "[--reference-window N] [--min-retrain-samples N]\n"
-        << "      [--inject-stuck \"id;id\"] [--inject-at T] "
-           "[--inject-stagger N]\n"
-        << "      [--telemetry-out F.jsonl|tcp://h:p] [--telemetry-every N] "
-           "[--dashboard-every N]\n"
-        << "  fleetview                          hierarchical "
-           "quality roll-up dashboard\n"
-        << "      (--synthetic N | --telemetry F.jsonl | --replay "
-           "data.csv (--model M | --fleet F))\n"
-        << "      [--ticks N] [--seed S] [--worst N] [--path "
-           "dc0/row1] [--rollup-out F.jsonl]\n"
-        << "      [--group-size N] [--platform P]\n"
-        << "  report <data.csv>                  markdown dataset "
-           "summary\n"
-        << "\nglobal flags (any subcommand):\n"
-        << "  --log-level L      debug|info|warn|error|silent\n"
-        << "  --trace-out F      write a Chrome trace-event JSON "
-           "(chrome://tracing)\n"
-        << "  --trace-summary F  write the human-readable phase-tree "
-           "summary\n"
-        << "  --metrics-out F    write the metrics registry snapshot "
-           "as JSON\n";
-    return 0;
-}
-
-int
-cmdListPlatforms(std::ostream &out)
+cmdListPlatforms(const ParsedArgs &, std::ostream &out, std::ostream &)
 {
     TextTable table({"Platform", "Cores", "P-states", "Disks",
                      "Power range (W)"});
@@ -247,10 +279,8 @@ cmdListCounters(const ParsedArgs &args, std::ostream &out,
 int
 cmdProbe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() != 2) {
-        err << "usage: chaos probe <platform>\n";
-        return 2;
-    }
+    if (args.positional.size() != 2)
+        return usageError("probe", err);
     const MachineClass mc = machineClassFromName(args.positional[1]);
     const MachineSpec spec = machineSpecFor(mc);
 
@@ -287,17 +317,14 @@ int
 cmdCollect(const ParsedArgs &args, std::ostream &out,
            std::ostream &err)
 {
-    if (args.positional.size() != 2 || !args.flags.count("out")) {
-        err << "usage: chaos collect <platform> --out <data.csv>\n";
-        return 2;
-    }
+    if (args.positional.size() != 2 || !args.flags.count("out"))
+        return usageError("collect", err);
     CampaignConfig config;
-    config.numMachines = static_cast<size_t>(
-        std::stoul(args.flagOr("machines", "5")));
-    config.runsPerWorkload = static_cast<size_t>(
-        std::stoul(args.flagOr("runs", "5")));
-    config.seed = std::stoull(args.flagOr("seed", "2012"));
-    config.run.durationScale = std::stod(args.flagOr("scale", "1.0"));
+    config.numMachines = args.number("machines", config.numMachines);
+    config.runsPerWorkload = args.number("runs", config.runsPerWorkload);
+    config.seed = args.number("seed", config.seed);
+    config.run.durationScale =
+        args.number("scale", config.run.durationScale);
 
     const MachineClass mc = machineClassFromName(args.positional[1]);
     out << "collecting " << machineClassName(mc) << " x"
@@ -314,13 +341,11 @@ cmdCollect(const ParsedArgs &args, std::ostream &out,
 int
 cmdSelect(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() != 2) {
-        err << "usage: chaos select <data.csv>\n";
-        return 2;
-    }
+    if (args.positional.size() != 2)
+        return usageError("select", err);
     const Dataset data = loadDataset(args.positional[1]);
     FeatureSelectionConfig config;
-    Rng rng(std::stoull(args.flagOr("seed", "1")));
+    Rng rng(args.number<std::uint64_t>("seed", 1));
     const FeatureSelectionResult selection =
         selectClusterFeatures(data, config, rng);
 
@@ -353,22 +378,17 @@ featureSetFor(const ParsedArgs &args, const Dataset &data,
     }
     out << "running Algorithm 1 feature selection...\n";
     FeatureSelectionConfig config;
-    Rng rng(std::stoull(args.flagOr("seed", "1")));
+    Rng rng(args.number<std::uint64_t>("seed", 1));
     return clusterFeatureSet(selectClusterFeatures(data, config, rng));
 }
 
 int
 cmdTrain(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() != 2 || !args.flags.count("out")) {
-        err << "usage: chaos train <data.csv> --out <model.txt>\n";
-        return 2;
-    }
-    bool ok = true;
-    const ModelType type = modelTypeFromString(
-        args.flagOr("type", "quadratic"), err, ok);
-    if (!ok)
-        return 2;
+    if (args.positional.size() != 2 || !args.flags.count("out"))
+        return usageError("train", err);
+    const ModelType type =
+        modelTypeFromString(args.flagOr("type", "quadratic"));
 
     const Dataset data = loadDataset(args.positional[1]);
     const FeatureSet features = featureSetFor(args, data, out);
@@ -386,37 +406,28 @@ int
 cmdEvaluate(const ParsedArgs &args, std::ostream &out,
             std::ostream &err)
 {
-    if (args.positional.size() != 2) {
-        err << "usage: chaos evaluate <data.csv>\n";
-        return 2;
-    }
-    bool ok = true;
-    const ModelType type = modelTypeFromString(
-        args.flagOr("type", "quadratic"), err, ok);
-    if (!ok)
-        return 2;
+    if (args.positional.size() != 2)
+        return usageError("evaluate", err);
+    const ModelType type =
+        modelTypeFromString(args.flagOr("type", "quadratic"));
 
     const Dataset data = loadDataset(args.positional[1]);
     const FeatureSet features = featureSetFor(args, data, out);
 
     // DRE denominators from the observed per-machine power range.
     EnvelopeMap envelopes;
-    std::map<int, std::pair<double, double>> ranges;
     for (size_t r = 0; r < data.numRows(); ++r) {
-        auto &range = ranges
-                          .try_emplace(data.machineIds()[r],
-                                       1e300, -1e300)
-                          .first->second;
-        range.first = std::min(range.first, data.powerW()[r]);
-        range.second = std::max(range.second, data.powerW()[r]);
+        const double w = data.powerW()[r];
+        MachineEnvelope &range =
+            envelopes.try_emplace(data.machineIds()[r], w, w)
+                .first->second;
+        range.idlePowerW = std::min(range.idlePowerW, w);
+        range.maxPowerW = std::max(range.maxPowerW, w);
     }
-    for (const auto &[machine, range] : ranges)
-        envelopes[machine] = {range.first, range.second};
 
     EvaluationConfig config;
-    config.folds = static_cast<size_t>(
-        std::stoul(args.flagOr("folds", "5")));
-    config.seed = std::stoull(args.flagOr("seed", "12345"));
+    config.folds = args.number("folds", config.folds);
+    config.seed = args.number("seed", config.seed);
     const EvaluationOutcome outcome =
         evaluateTechnique(data, features, type, envelopes, config);
     if (!outcome.valid) {
@@ -441,10 +452,8 @@ int
 cmdPredict(const ParsedArgs &args, std::ostream &out,
            std::ostream &err)
 {
-    if (args.positional.size() != 3) {
-        err << "usage: chaos predict <model.txt> <data.csv>\n";
-        return 2;
-    }
+    if (args.positional.size() != 3)
+        return usageError("predict", err);
     const MachinePowerModel model =
         loadMachineModelFile(args.positional[1]);
     const Dataset data = loadDataset(args.positional[2]);
@@ -516,26 +525,68 @@ syntheticServeModel(uint64_t seed, double baseW)
         std::move(model));
 }
 
-/**
- * `chaos serve --listen`: run the fleet server as a real network
- * server — a ChaosIngestServer accepting wire-protocol connections
- * (binary or JSONL) and feeding the shard queues, until a sample
- * budget or an idle window ends the run. `chaos loadgen` is the
- * matching client.
- */
-int
-cmdServeListen(const ParsedArgs &args, std::ostream &out,
-               std::ostream &err)
+/** FleetServerConfig from --shards/--queue-capacity/--snapshot-every. */
+serve::FleetServerConfig
+serverConfigFrom(const ParsedArgs &args)
 {
     serve::FleetServerConfig config;
-    config.numShards = static_cast<size_t>(
-        std::stoul(args.flagOr("shards", "4")));
-    config.queueCapacity = static_cast<size_t>(
-        std::stoul(args.flagOr("queue-capacity", "8192")));
-    config.snapshotEverySamples = static_cast<size_t>(
-        std::stoul(args.flagOr("snapshot-every", "0")));
-    serve::FleetServer server(config);
+    config.numShards = args.number("shards", config.numShards);
+    config.queueCapacity =
+        args.number("queue-capacity", config.queueCapacity);
+    config.snapshotEverySamples =
+        args.number("snapshot-every", config.snapshotEverySamples);
+    return config;
+}
 
+/**
+ * The serving pipeline of one CLI run (paper Eq. 5 as a service): a
+ * FleetServer with its machines plus the optional layers the flags
+ * ask for — quality monitor, self-healing autopilot, telemetry
+ * export, and flight recorder. `serve --replay`, `serve --listen`,
+ * and `fleetview --replay` all build it here, so a flag means the
+ * same thing everywhere and defaults to its config struct's value.
+ */
+class Pipeline
+{
+  public:
+    /**
+     * @param ids Machines sharing one --model (listen mode falls back
+     *        to a synthetic model); a --fleet manifest names its own.
+     * @param recording Clean trace the autopilot's pooled substitute
+     *        is fit on (null when there is none).
+     * @param withMonitor Attach the quality monitor even without
+     *        --monitor 1 (--autopilot 1 always attaches it).
+     */
+    Pipeline(const ParsedArgs &args,
+             const std::vector<std::string> &ids,
+             const Dataset *recording, bool withMonitor);
+
+    ~Pipeline()
+    {
+        if (flightArmed)
+            obs::FlightRecorder::instance().setEnabled(false);
+    }
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
+
+    /** Flush telemetry and disarm the flight recorder, reporting both. */
+    void finish(std::ostream &out);
+
+    serve::FleetServer server;
+    std::optional<monitor::FleetMonitor> quality;
+    std::optional<autopilot::AutopilotController> pilot;
+    std::optional<monitor::TelemetryExporter> telemetry;
+    double speed = serve::ReplayConfig{}.speed; ///< Replay --speed.
+    std::size_t telemetryEvery = 10; ///< Ticks between records.
+    std::size_t dashboardEvery = 0;  ///< Ticks between lines (0 off).
+    bool flightArmed = false;
+};
+
+Pipeline::Pipeline(const ParsedArgs &args,
+                   const std::vector<std::string> &ids,
+                   const Dataset *recording, bool withMonitor)
+    : server(serverConfigFrom(args))
+{
     OnlineEstimatorConfig estimatorConfig;
     const std::string platform = args.flagOr("platform", "");
     if (!platform.empty()) {
@@ -543,91 +594,244 @@ cmdServeListen(const ParsedArgs &args, std::ostream &out,
             machineSpecFor(machineClassFromName(platform)));
     }
 
-    const std::string modelPath = args.flagOr("model", "");
+    FeatureSet substituteFeatures;
     const std::string fleetPath = args.flagOr("fleet", "");
-    const size_t machines = static_cast<size_t>(
-        std::stoul(args.flagOr("machines", "8")));
     if (!fleetPath.empty()) {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
+        std::vector<serve::FleetMachine> fleet =
+            serve::loadFleetModels(fleetPath);
+        raiseIf(fleet.empty(), "empty fleet manifest " + fleetPath);
+        substituteFeatures = fleet.front().model.featureSet();
+        for (serve::FleetMachine &machine : fleet) {
             server.addMachine(machine.id, std::move(machine.model),
                               estimatorConfig);
         }
     } else {
+        const std::string modelPath = args.flagOr("model", "");
         const MachinePowerModel model =
             modelPath.empty() ? syntheticServeModel(7, 25.0)
                               : loadMachineModelFile(modelPath);
-        for (size_t i = 0; i < machines; ++i)
-            server.addMachine("machine" + std::to_string(i), model,
-                              estimatorConfig);
+        substituteFeatures = model.featureSet();
+        for (const std::string &id : ids)
+            server.addMachine(id, model, estimatorConfig);
     }
 
-    net::IngestServerConfig ingestConfig;
-    ingestConfig.port = static_cast<uint16_t>(
-        std::stoul(args.flagOr("listen", "0")));
-    ingestConfig.creditBatch = static_cast<size_t>(
-        std::stoul(args.flagOr("credit-batch", "0")));
-    net::ChaosIngestServer ingest(server, ingestConfig);
-
-    // Optional online quality monitoring: drift verdicts over the
-    // metered references the wire samples carry — the trigger the
-    // flight recorder below freezes on.
-    std::optional<monitor::FleetMonitor> fleetMonitor;
-    if (args.flagOr("monitor", "0") == "1" ||
-        args.flagOr("monitor", "0") == "true") {
-        monitor::QualityMonitorConfig qualityConfig;
-        qualityConfig.windowSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("window", "60")));
-        qualityConfig.warmupSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("warmup", "600")));
-        qualityConfig.driftLambda =
-            std::stod(args.flagOr("drift-lambda", "60"));
-        qualityConfig.driftDelta =
-            std::stod(args.flagOr("drift-delta", "0.5"));
-        fleetMonitor.emplace(qualityConfig);
-        fleetMonitor->attach(server);
+    const bool autopilotOn = args.enabled("autopilot");
+    if (withMonitor || autopilotOn || args.enabled("monitor")) {
+        monitor::QualityMonitorConfig config;
+        config.windowSamples = args.number("window", config.windowSamples);
+        config.warmupSamples = args.number("warmup", config.warmupSamples);
+        config.driftLambda = args.number("drift-lambda", config.driftLambda);
+        config.driftDelta = args.number("drift-delta", config.driftDelta);
+        quality.emplace(config);
+        quality->attach(server);
     }
 
-    // Optional flight recorder: keep rings of recent spans / events /
-    // metric deltas and dump a diagnostic bundle when an anomaly
+    if (autopilotOn) {
+        autopilot::AutopilotConfig config;
+        config.backgroundRetrain = false; // Deterministic replay.
+        // A replayed trace spans minutes, not days: halve the
+        // library's reference window and cooldown.
+        config.referenceWindowSamples /= 2;
+        config.cooldownTicks /= 2;
+        config.maxConcurrentRetrains =
+            args.number("max-retrains", config.maxConcurrentRetrains);
+        config.referenceWindowSamples = args.number(
+            "reference-window", config.referenceWindowSamples);
+        config.retrainMinSamples =
+            args.number("min-retrain-samples", config.retrainMinSamples);
+        config.canaryMinSamples =
+            args.number("canary-samples", config.canaryMinSamples);
+        config.cooldownTicks = args.number("cooldown", config.cooldownTicks);
+        if (args.has("retrain-type")) {
+            config.fallbackRetrainType =
+                modelTypeFromString(args.flagOr("retrain-type", ""));
+        }
+        const std::string substitute = args.flagOr("substitute", "pooled");
+        raiseIf(substitute != "pooled" && substitute != "lastgood",
+                "--substitute must be pooled or lastgood");
+        pilot.emplace(server, *quality, config);
+        if (substitute == "pooled" && recording != nullptr) {
+            pilot->setSubstituteModel(
+                fitPooledSubstitute(*recording, substituteFeatures));
+        }
+        pilot->start();
+    }
+
+    const std::string telemetryOut = args.flagOr("telemetry-out", "");
+    if (!telemetryOut.empty()) {
+        raiseIf(!quality, "--telemetry-out needs --monitor 1");
+        // "tcp://host:port" streams records to a live collector over
+        // a socket; anything else is a JSONL file path.
+        telemetry.emplace(
+            net::isSocketTarget(telemetryOut)
+                ? net::connectLineSink(telemetryOut)
+                : std::make_unique<std::ofstream>(telemetryOut),
+            telemetryOut);
+    }
+    telemetryEvery = args.number("telemetry-every", telemetryEvery);
+    dashboardEvery = args.number("dashboard-every", dashboardEvery);
+    speed = args.number("speed", speed);
+
+    // Flight recorder: keep rings of recent spans / events / metric
+    // deltas and dump a diagnostic bundle when an anomaly
     // (ModelDrift, Backpressure, ConnectionDrop, Rollback) fires.
-    const std::string flightDir = args.flagOr("flight-dir", "");
-    if (!flightDir.empty()) {
+    if (args.has("flight-dir")) {
         obs::FlightConfig flightConfig;
-        flightConfig.outDir = flightDir;
-        flightConfig.windowMs = std::stoull(
-            args.flagOr("flight-window-ms", "10000"));
-        flightConfig.rateLimitMs = std::stoull(
-            args.flagOr("flight-rate-limit-ms", "30000"));
+        flightConfig.outDir = args.flagOr("flight-dir", "");
+        flightConfig.windowMs =
+            args.number("flight-window-ms", flightConfig.windowMs);
+        flightConfig.rateLimitMs =
+            args.number("flight-rate-limit-ms", flightConfig.rateLimitMs);
         auto &flight = obs::FlightRecorder::instance();
         flight.configure(flightConfig);
         flight.setEnabled(true);
+        flightArmed = true;
     }
+}
+
+void
+Pipeline::finish(std::ostream &out)
+{
+    if (telemetry) {
+        telemetry->flush();
+        out << "wrote " << telemetry->records()
+            << " telemetry records to " << telemetry->path() << "\n";
+    }
+    if (flightArmed) {
+        auto &flight = obs::FlightRecorder::instance();
+        flight.setEnabled(false);
+        flightArmed = false;
+        out << "flight: " << flight.bundlesWritten()
+            << " bundles written";
+        if (!flight.lastBundlePath().empty())
+            out << ", last " << flight.lastBundlePath();
+        out << "\n";
+    }
+}
+
+/** True every @p every ticks and on the last one (never for 0). */
+bool
+due(std::size_t every, std::size_t tick, std::size_t numTicks)
+{
+    return every != 0 && (tick % every == 0 || tick + 1 == numTicks);
+}
+
+/** One dashboard line: cluster power plus each attached layer. */
+void
+printDashboardLine(const Pipeline &p, std::size_t tick,
+                   std::ostream &out)
+{
+    const serve::FleetSnapshot snap = p.server.snapshot();
+    out << "tick " << tick << ": cluster "
+        << formatDouble(snap.clusterW, 1) << " W";
+    if (p.quality) {
+        const monitor::QualitySnapshot quality = p.quality->snapshot();
+        double worstDre = 0.0;
+        for (const auto &machine : quality.machines) {
+            if (std::isfinite(machine.rollingDre))
+                worstDre = std::max(worstDre, machine.rollingDre);
+        }
+        out << ", worst rolling DRE " << formatPercent(worstDre, 1)
+            << ", drifting " << quality.driftingCount() << "/"
+            << quality.machines.size();
+    }
+    if (p.pilot) {
+        size_t remediating = 0;
+        for (const autopilot::MachineRemediation &machine :
+             p.pilot->status()) {
+            if (machine.state != autopilot::RemediationState::Serving)
+                ++remediating;
+        }
+        out << ", quarantined " << snap.quarantined << "/"
+            << snap.machines.size() << ", remediating " << remediating;
+    }
+    out << "\n";
+}
+
+/**
+ * Replay @p replayer through @p p in lockstep: after each tick's
+ * samples were submitted, drain them on this thread, advance the
+ * autopilot, write due telemetry and dashboard lines, then run
+ * @p onTick. No background drainer runs, so every line and record
+ * is in step with the trace, and a fixed trace and seed reproduce
+ * the same output (remediation story included).
+ */
+serve::ReplayStats
+replayLockstep(Pipeline &p, const serve::TraceReplayer &replayer,
+               std::ostream &out,
+               const std::function<void(std::size_t)> &onTick = {})
+{
+    serve::ReplayConfig config;
+    config.speed = p.speed;
+    config.onTick = [&](std::size_t tick) {
+        while (p.server.processed() + p.server.dropped() <
+               p.server.submitted())
+            p.server.drainOnce();
+        if (p.pilot)
+            p.pilot->tick();
+        const std::size_t ticks = replayer.numTicks();
+        if (p.telemetry && due(p.telemetryEvery, tick, ticks)) {
+            const monitor::QualitySnapshot quality =
+                p.quality->publishMetrics();
+            p.telemetry->writeFleet(p.server.snapshot(), tick);
+            p.telemetry->writeQuality(quality, tick);
+            p.telemetry->writeMetrics(tick);
+        }
+        if (due(p.dashboardEvery, tick, ticks))
+            printDashboardLine(p, tick, out);
+        if (onTick)
+            onTick(tick);
+    };
+    return replayer.replayInto(p.server, config);
+}
+
+/**
+ * `chaos serve --listen`: run the fleet server as a real network
+ * server — a ChaosIngestServer accepting wire-protocol connections
+ * and feeding the shard queues from a background drainer, until a
+ * sample budget or an idle window ends the run. `chaos loadgen` is
+ * the matching client.
+ */
+int
+cmdServeListen(const ParsedArgs &args, std::ostream &out,
+               std::ostream &err)
+{
+    if (args.enabled("autopilot") || args.has("telemetry-out")) {
+        err << "error: --autopilot and --telemetry-out need --replay "
+               "(they run in lockstep with a trace)\n";
+        return 2;
+    }
+    std::vector<std::string> ids;
+    const size_t machines = args.number<size_t>("machines", 8);
+    for (size_t i = 0; i < machines; ++i)
+        ids.push_back("machine" + std::to_string(i));
+    Pipeline pipeline(args, ids, nullptr, false);
+    serve::FleetServer &server = pipeline.server;
+
+    net::IngestServerConfig ingestConfig;
+    ingestConfig.port = args.number("listen", ingestConfig.port);
+    ingestConfig.creditBatch =
+        args.number("credit-batch", ingestConfig.creditBatch);
+    net::ChaosIngestServer ingest(server, ingestConfig);
 
     server.start();
     ingest.start();
     out << "listening on " << ingest.config().bindAddress << ":"
         << ingest.port() << " (" << server.numMachines()
-        << " machines, " << config.numShards << " shards)"
+        << " machines, " << server.config().numShards << " shards)"
         << std::endl;
 
     // Scripts poll this file instead of parsing stdout (the port is
     // ephemeral when --listen 0).
     const std::string portFile = args.flagOr("port-file", "");
-    if (!portFile.empty()) {
-        std::ofstream file(portFile);
-        raiseIf(!file, "cannot write " + portFile);
-        file << ingest.port() << "\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + portFile);
-    }
+    if (!portFile.empty())
+        writeTextFile(portFile, std::to_string(ingest.port()) + "\n");
 
     // Run until the sample budget is met or ingest goes idle (both
     // optional; with neither, serve until the process is killed).
-    const uint64_t maxSamples = std::stoull(
-        args.flagOr("ingest-max-samples", "0"));
-    const uint64_t idleMs =
-        std::stoull(args.flagOr("ingest-idle-ms", "0"));
+    const auto maxSamples =
+        args.number<std::uint64_t>("ingest-max-samples", 0);
+    const auto idleMs = args.number<std::uint64_t>("ingest-idle-ms", 0);
     auto lastChange = std::chrono::steady_clock::now();
     uint64_t lastSeen = 0;
     while (true) {
@@ -661,405 +865,91 @@ cmdServeListen(const ParsedArgs &args, std::ostream &out,
         << " processed samples\n";
     warnDroppedMachines(snapshot, err);
 
-    if (fleetMonitor) {
-        out << "monitor: " << fleetMonitor->driftEvents()
+    if (pipeline.quality) {
+        out << "monitor: " << pipeline.quality->driftEvents()
             << " drift events\n";
     }
-    if (!flightDir.empty()) {
-        auto &flight = obs::FlightRecorder::instance();
-        flight.setEnabled(false);
-        out << "flight: " << flight.bundlesWritten()
-            << " bundles written";
-        if (!flight.lastBundlePath().empty())
-            out << ", last " << flight.lastBundlePath();
-        out << "\n";
-    }
+    pipeline.finish(out);
 
     const std::string statsOut = args.flagOr("stats-out", "");
     if (!statsOut.empty()) {
-        std::ofstream file(statsOut);
-        raiseIf(!file, "cannot write " + statsOut);
-        file << "{\"ingest\": " << stats.toJson()
-             << ", \"fleet\": " << snapshot.toJson() << "}\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + statsOut);
+        writeTextFile(statsOut, "{\"ingest\": " + stats.toJson() +
+                                    ", \"fleet\": " +
+                                    snapshot.toJson() + "}\n");
         out << "wrote ingest stats to " << statsOut << "\n";
     }
     return 0;
 }
 
-// Defined with the introspection plumbing below.
-int loadgenReplay(const ParsedArgs &args, const std::string &target,
-                  std::ostream &out, std::ostream &err);
-
-/**
- * Drive an ingest server with paced concurrent connections — the
- * client half of `chaos serve --listen`, for smoke tests and load
- * experiments. Machine ids default to the machine0..machineN-1 names
- * listen mode registers. --replay switches to trace mode: send a
- * recorded (optionally fault-injected) dataset instead of synthetic
- * rows.
- */
-int
-cmdLoadgen(const ParsedArgs &args, std::ostream &out,
-           std::ostream &err)
-{
-    std::string target = args.flagOr("target", "");
-    if (target.empty()) {
-        err << "usage: chaos loadgen --target host:port "
-               "[--connections N] [--samples N]\n"
-               "    [--machines N | --machine-ids \"a;b\"] [--rate "
-               "R/conn/sec] [--row-size N]\n"
-               "    [--window N] [--workers N] [--jsonl 1] "
-               "[--metered-every N] [--seed S]\n"
-               "    [--report-json F]\n"
-               "    [--replay data.csv [--inject-stuck \"id;id\"] "
-               "[--inject-at T] [--inject-stagger N]]\n";
-        return 2;
-    }
-    if (net::isSocketTarget(target))
-        target = target.substr(6);
-    if (!args.flagOr("replay", "").empty())
-        return loadgenReplay(args, target, out, err);
-
-    net::LoadGenConfig config;
-    const auto [host, port] = net::parseHostPort(target);
-    config.host = host;
-    config.port = port;
-    config.connections = static_cast<size_t>(
-        std::stoul(args.flagOr("connections", "8")));
-    config.workers = static_cast<size_t>(
-        std::stoul(args.flagOr("workers", "0")));
-    config.samplesPerConnection = static_cast<size_t>(
-        std::stoul(args.flagOr("samples", "1000")));
-    config.ratePerConnection = std::stod(args.flagOr("rate", "0"));
-    config.rowSize = static_cast<size_t>(std::stoul(args.flagOr(
-        "row-size",
-        std::to_string(CounterCatalog::instance().size()))));
-    config.window = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "1024")));
-    config.jsonl = args.flagOr("jsonl", "0") == "1" ||
-                   args.flagOr("jsonl", "0") == "true";
-    config.meteredEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("metered-every", "0")));
-    config.seed = std::stoull(args.flagOr("seed", "42"));
-
-    const std::string idList = args.flagOr("machine-ids", "");
-    if (!idList.empty()) {
-        for (const std::string &id : split(idList, ';'))
-            if (!id.empty())
-                config.machineIds.push_back(id);
-    } else {
-        const size_t machines = static_cast<size_t>(
-            std::stoul(args.flagOr("machines", "8")));
-        for (size_t i = 0; i < machines; ++i)
-            config.machineIds.push_back("machine" +
-                                        std::to_string(i));
-    }
-
-    net::LoadGenerator generator(config);
-    const net::LoadGenReport report = generator.run();
-
-    out << "loadgen: " << report.sent << " sent = "
-        << report.accepted << " accepted + " << report.rejected
-        << " rejected over " << config.connections
-        << " connections in "
-        << formatDouble(report.elapsedSec, 2) << " s ("
-        << formatDouble(report.sentPerSec, 0) << " samples/sec)\n";
-    out << "  ack latency: p50 "
-        << formatDouble(report.p50LatencyMs, 2) << " ms, p99 "
-        << formatDouble(report.p99LatencyMs, 2) << " ms, max "
-        << formatDouble(report.maxLatencyMs, 2) << " ms\n";
-    if (report.backpressureNacks > 0 || report.unknownNacks > 0) {
-        out << "  nacks: " << report.backpressureNacks
-            << " backpressure, " << report.unknownNacks
-            << " unknown machine\n";
-    }
-    if (report.connectionsFailed > 0) {
-        err << "error: " << report.connectionsFailed
-            << " connections failed: " << report.firstError << "\n";
-    }
-
-    const std::string reportJson = args.flagOr("report-json", "");
-    if (!reportJson.empty()) {
-        std::ofstream file(reportJson);
-        raiseIf(!file, "cannot write " + reportJson);
-        file << report.toJson() << "\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + reportJson);
-        out << "wrote report to " << reportJson << "\n";
-    }
-    return report.connectionsFailed == 0 ? 0 : 1;
-}
-
-/** @return @p root[section][key] as a number (0 when absent). */
-double
-topNumber(const obs::JsonValue &root, const char *section,
-          const char *key)
-{
-    const obs::JsonValue *sec = root.find(section);
-    if (sec == nullptr || !sec->isObject())
-        return 0.0;
-    const obs::JsonValue *value = sec->find(key);
-    return value != nullptr && value->isNumber() ? value->asNumber()
-                                                 : 0.0;
-}
-
-/** Render one parsed introspection snapshot as a text dashboard. */
+/** The autopilot's per-machine remediation table and summary line. */
 void
-renderTop(const obs::JsonValue &snap, const std::string &target,
-          std::ostream &out)
+printRemediation(const autopilot::AutopilotController &pilot,
+                 const monitor::QualitySnapshot &quality,
+                 std::ostream &out)
 {
-    out << "chaos top — " << target << " (ts "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "fleet", "ts_ms"))
-        << " ms)\n\n";
-
-    out << "fleet:  "
-        << formatDouble(topNumber(snap, "fleet", "cluster_w"), 1)
-        << " W cluster, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "fleet", "processed"))
-        << " processed, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "fleet", "dropped"))
-        << " dropped, drifting "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "fleet", "drifting"))
-        << ", quarantined "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "fleet", "quarantined"))
-        << "\n";
-    out << "ingest: "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "ingest", "connections_open"))
-        << " connections open, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "ingest", "samples_accepted"))
-        << " accepted, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "ingest", "rejected_backpressure"))
-        << " backpressured, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "ingest", "bad_frames"))
-        << " bad frames\n";
-    out << "flight: "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "flight", "bundles_written"))
-        << " bundles, "
-        << static_cast<std::uint64_t>(
-               topNumber(snap, "flight", "triggers_seen"))
-        << " triggers\n\n";
-
-    const obs::JsonValue *stages = snap.find("stage_latency");
-    TextTable table({"Stage", "p50 (us)", "p99 (us)", "Samples"});
-    if (stages != nullptr && stages->isObject()) {
-        for (const auto &[name, stage] : stages->members()) {
-            if (!stage.isObject())
-                continue;
-            const obs::JsonValue *p50 = stage.find("p50");
-            const obs::JsonValue *p99 = stage.find("p99");
-            const obs::JsonValue *count = stage.find("count");
-            table.addRow(
-                {name,
-                 formatDouble(
-                     p50 != nullptr ? p50->asNumber() : 0.0, 2),
-                 formatDouble(
-                     p99 != nullptr ? p99->asNumber() : 0.0, 2),
-                 std::to_string(static_cast<std::uint64_t>(
-                     count != nullptr ? count->asNumber() : 0.0))});
-        }
+    std::map<std::string, const monitor::MachineQualityReport *>
+        reportById;
+    for (const monitor::MachineQualityReport &machine :
+         quality.machines)
+        reportById[machine.id] = &machine;
+    TextTable table({"Machine", "State", "Quality", "Quar", "Promo",
+                     "Rollb", "Canary rMSE (W)"});
+    for (const autopilot::MachineRemediation &machine :
+         pilot.status()) {
+        const auto report = reportById.find(machine.id);
+        const std::string qualityName =
+            report != reportById.end()
+                ? modelQualityName(report->second->quality)
+                : "n/a";
+        const std::string canary =
+            machine.promotions + machine.rollbacks > 0
+                ? formatDouble(machine.lastCandidateRmseW, 2) +
+                      " vs " +
+                      formatDouble(machine.lastIncumbentRmseW, 2)
+                : "n/a";
+        table.addRow({machine.id,
+                      autopilot::remediationStateName(machine.state),
+                      qualityName, std::to_string(machine.quarantines),
+                      std::to_string(machine.promotions),
+                      std::to_string(machine.rollbacks), canary});
     }
     out << table.render();
+
+    const autopilot::AutopilotStats pilotStats = pilot.stats();
+    out << "autopilot summary: quarantines=" << pilotStats.quarantines
+        << " retrains=" << pilotStats.retrainsStarted
+        << " promotions=" << pilotStats.promotions
+        << " rollbacks=" << pilotStats.rollbacks
+        << " failures=" << pilotStats.retrainFailures << "\n";
 }
 
 /**
- * `chaos top`: live introspection of a running `chaos serve
- * --listen` — poll the server's Introspect frame and render fleet
- * power, ingest accounting, per-stage latency percentiles, and the
- * flight-recorder state. --json 1 prints the raw snapshot JSON once
- * (the scriptable mode tier-1 validates); the default refreshes a
- * dashboard every --interval-ms until --count polls were shown.
- */
-int
-cmdTop(const ParsedArgs &args, std::ostream &out, std::ostream &err)
-{
-    std::string target = args.flagOr("target", "");
-    if (target.empty() && args.positional.size() > 1)
-        target = args.positional[1];
-    if (target.empty()) {
-        err << "usage: chaos top --target host:port [--json 1]\n"
-               "    [--interval-ms MS] [--count N] [--timeout-ms MS]\n";
-        return 2;
-    }
-    if (net::isSocketTarget(target))
-        target = target.substr(6);
-    const auto [host, port] = net::parseHostPort(target);
-
-    const bool jsonMode = args.flagOr("json", "0") == "1" ||
-                          args.flagOr("json", "0") == "true";
-    const int timeoutMs =
-        std::stoi(args.flagOr("timeout-ms", "5000"));
-    const int intervalMs =
-        std::stoi(args.flagOr("interval-ms", "1000"));
-    // --json is one-shot unless --count says otherwise; the
-    // dashboard refreshes until interrupted by default.
-    const std::uint64_t count = std::stoull(
-        args.flagOr("count", jsonMode ? "1" : "0"));
-
-    for (std::uint64_t poll = 0; count == 0 || poll < count; ++poll) {
-        if (poll > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(intervalMs));
-        }
-        const std::string json =
-            net::fetchSnapshot(host, port, poll + 1, timeoutMs);
-        if (jsonMode) {
-            out << json << "\n";
-            continue;
-        }
-        obs::JsonValue snap;
-        raiseIf(!obs::jsonParse(json, snap),
-                "top: server sent malformed snapshot JSON");
-        if (poll > 0)
-            out << "\x1b[2J\x1b[H"; // Clear + home between refreshes.
-        renderTop(snap, target, out);
-        out.flush();
-    }
-    return 0;
-}
-
-/**
- * `chaos loadgen --replay`: send a recorded trace (optionally fault-
- * injected with stuck counters, same flags as `chaos autopilot`)
- * through the wire protocol to a live ingest server, one connection,
- * metered references attached. This is how tier-1 provokes a real
- * ModelDrift — and therefore a flight-recorder bundle — on a
- * network-fed server from a clean recording.
- */
-int
-loadgenReplay(const ParsedArgs &args, const std::string &target,
-              std::ostream &out, std::ostream &err)
-{
-    (void)err;
-    Dataset data = loadDataset(args.flagOr("replay", ""));
-
-    const std::string injectIds = args.flagOr("inject-stuck", "");
-    if (!injectIds.empty()) {
-        std::vector<std::string> targets;
-        for (const std::string &part : split(injectIds, ';')) {
-            const std::string id = trim(part);
-            if (!id.empty())
-                targets.push_back(id);
-        }
-        data = injectStuckCounters(
-            data, targets,
-            std::stoul(args.flagOr("inject-at", "0")),
-            std::stoul(args.flagOr("inject-stagger", "0")),
-            std::stoull(args.flagOr("seed", "2012")));
-    }
-
-    net::IngestClientConfig config;
-    const auto [host, port] = net::parseHostPort(target);
-    config.host = host;
-    config.port = port;
-    config.window = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "1024")));
-    config.jsonl = args.flagOr("jsonl", "0") == "1" ||
-                   args.flagOr("jsonl", "0") == "true";
-    net::IngestClient client(config);
-    client.connect();
-
-    // Metered references ride every Nth sample (default: every one —
-    // the monitor's drift detector needs them).
-    const size_t meteredEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("metered-every", "1")));
-    std::map<int, std::uint64_t> tickOf;
-    for (size_t r = 0; r < data.numRows(); ++r) {
-        const int machine = data.machineIds()[r];
-        const std::uint64_t tick = tickOf[machine]++;
-        const std::vector<double> row = data.features().row(r);
-        const double metered =
-            meteredEvery != 0 && tick % meteredEvery == 0
-                ? data.powerW()[r]
-                : std::numeric_limits<double>::quiet_NaN();
-        client.send(tick, "machine" + std::to_string(machine),
-                    row.data(), row.size(), metered);
-    }
-    const bool drained = client.drain();
-    client.close();
-
-    out << "replayed " << client.sent() << " samples over the wire: "
-        << client.accepted() << " accepted, " << client.rejected()
-        << " rejected"
-        << (drained ? "" : " (server closed before full drain)")
-        << "\n";
-    return drained ? 0 : 1;
-}
-
-/**
- * Replay a recorded counter trace through the streaming fleet server
- * (paper Eq. 5 as a service): every machine in the trace gets an
- * online estimator, samples are enqueued tick by tick at the chosen
- * speed, and the server drains them through the thread pool while
- * emitting periodic fleet-power snapshots.
+ * Replay a recorded counter trace through the fleet server (paper
+ * Eq. 5 as a service): every machine in the trace gets an online
+ * estimator, and samples are submitted tick by tick at the chosen
+ * speed and drained in lockstep. --monitor 1 adds the per-machine
+ * model-quality statistics and drift detector, --autopilot 1 the
+ * self-healing loop on top (drift quarantines the machine behind a
+ * substitute, a retrain produces a candidate, a canary promotes or
+ * rolls it back), and --inject-stuck fault-injects the trace so the
+ * loop can be shown from a clean recording.
  */
 int
 cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.flags.count("listen") != 0)
+    if (args.has("listen"))
         return cmdServeListen(args, out, err);
     const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
-        err << "usage: chaos serve --replay <data.csv> "
-               "(--model <model.txt> | --fleet <manifest.txt>)\n"
-               "    [--speed X] [--platform P] [--shards N] "
-               "[--queue-capacity N]\n"
-               "    [--snapshot-every N] [--snapshots-out F]\n";
-        return 2;
-    }
+    if (replayPath.empty() || args.has("model") == args.has("fleet"))
+        return usageError("serve", err);
 
-    const Dataset data = loadDataset(replayPath);
-    serve::TraceReplayer replayer(data);
-
-    serve::FleetServerConfig config;
-    config.numShards = static_cast<size_t>(
-        std::stoul(args.flagOr("shards", "4")));
-    config.queueCapacity = static_cast<size_t>(
-        std::stoul(args.flagOr("queue-capacity", "8192")));
-    config.snapshotEverySamples = static_cast<size_t>(
-        std::stoul(args.flagOr("snapshot-every", "0")));
-    serve::FleetServer server(config);
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    if (!modelPath.empty()) {
-        // One shared model deployed to every machine in the trace.
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
-
-    serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-
-    server.start();
+    const Dataset recording = loadDataset(replayPath);
+    const serve::TraceReplayer replayer(
+        withInjectedFaults(args, recording));
+    Pipeline pipeline(args, replayer.machineIds(), &recording, false);
+    const serve::FleetServer &server = pipeline.server;
     const serve::ReplayStats stats =
-        replayer.replayInto(server, replayConfig);
-    server.stop();
+        replayLockstep(pipeline, replayer, out);
 
     const serve::FleetSnapshot final_snapshot = server.snapshot();
     out << "replayed " << stats.ticks << " ticks x "
@@ -1082,171 +972,42 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     out << table.render();
     warnDroppedMachines(final_snapshot, err);
 
+    if (pipeline.quality) {
+        const monitor::QualitySnapshot quality =
+            pipeline.quality->publishMetrics();
+        out << "model quality, monitored over " << stats.ticks
+            << " ticks:\n";
+        TextTable qualityTable({"Machine", "Quality", "rMSE (W)", "DRE",
+                                "Bias (W)", "Drift stat"});
+        for (const monitor::MachineQualityReport &machine :
+             quality.machines) {
+            qualityTable.addRow(
+                {machine.id, modelQualityName(machine.quality),
+                 formatDouble(machine.windowRmseW, 2),
+                 std::isfinite(machine.rollingDre)
+                     ? formatPercent(machine.rollingDre, 1)
+                     : "n/a",
+                 formatDouble(machine.biasW, 2),
+                 formatDouble(machine.driftStatistic, 1)});
+        }
+        out << qualityTable.render();
+        if (pipeline.pilot)
+            printRemediation(*pipeline.pilot, quality, out);
+        out << "drift events: " << pipeline.quality->driftEvents()
+            << "\n";
+    }
+
     const std::string snapshotsOut = args.flagOr("snapshots-out", "");
     if (!snapshotsOut.empty()) {
-        std::ofstream file(snapshotsOut);
-        raiseIf(!file, "cannot write " + snapshotsOut);
-        file << "[\n";
+        std::string json = "[\n";
         for (const serve::FleetSnapshot &snap : server.snapshots())
-            file << "  " << snap.toJson() << ",\n";
-        file << "  " << final_snapshot.toJson() << "\n]\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + snapshotsOut);
+            json += "  " + snap.toJson() + ",\n";
+        json += "  " + final_snapshot.toJson() + "\n]\n";
+        writeTextFile(snapshotsOut, json);
         out << "wrote " << server.snapshots().size() + 1
             << " snapshots to " << snapshotsOut << "\n";
     }
-    return 0;
-}
-
-/**
- * Replay a recorded trace through a monitored fleet: every evaluated
- * sample updates the per-machine rolling model-quality statistics
- * (windowed rMSE, rolling DRE, bias) and the Page-Hinkley drift
- * detector, a periodic text dashboard shows the fleet converging (or
- * drifting), and --telemetry-out streams fleet/quality/metrics
- * records as JSONL for downstream collectors.
- *
- * The replay is synchronous: instead of the background drainer
- * thread, every tick's samples are drained on the calling thread via
- * the replay onTick hook, so dashboard lines and telemetry records
- * are in lockstep with the trace (and deterministic for a fixed
- * trace).
- */
-int
-cmdMonitor(const ParsedArgs &args, std::ostream &out,
-           std::ostream &err)
-{
-    const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
-        err << "usage: chaos monitor --replay <data.csv> "
-               "(--model <model.txt> | --fleet <manifest.txt>)\n"
-               "    [--platform P] [--speed X] [--window N] "
-               "[--warmup N]\n"
-               "    [--drift-lambda L] [--drift-delta D]\n"
-               "    [--telemetry-out F.jsonl|tcp://h:p] [--telemetry-every N] "
-               "[--dashboard-every N]\n";
-        return 2;
-    }
-
-    const Dataset data = loadDataset(replayPath);
-    serve::TraceReplayer replayer(data);
-
-    serve::FleetServer server;
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    if (!modelPath.empty()) {
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
-
-    monitor::QualityMonitorConfig qualityConfig;
-    qualityConfig.windowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "60")));
-    qualityConfig.warmupSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("warmup", "600")));
-    qualityConfig.driftLambda =
-        std::stod(args.flagOr("drift-lambda", "60"));
-    qualityConfig.driftDelta =
-        std::stod(args.flagOr("drift-delta", "0.5"));
-    monitor::FleetMonitor fleetMonitor(qualityConfig);
-    fleetMonitor.attach(server);
-
-    std::optional<monitor::TelemetryExporter> telemetry;
-    const std::string telemetryOut = args.flagOr("telemetry-out", "");
-    if (!telemetryOut.empty()) {
-        // "tcp://host:port" streams records to a live collector over
-        // a socket; anything else is a JSONL file path.
-        if (net::isSocketTarget(telemetryOut))
-            telemetry.emplace(net::connectLineSink(telemetryOut),
-                              telemetryOut);
-        else
-            telemetry.emplace(telemetryOut);
-    }
-    const size_t telemetryEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("telemetry-every", "10")));
-    const size_t dashboardEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("dashboard-every", "0")));
-
-    serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-    replayConfig.onTick = [&](size_t tick) {
-        // Synchronous lockstep: drain this tick's samples here.
-        while (server.processed() + server.dropped() <
-               server.submitted())
-            server.drainOnce();
-        const bool lastTick = tick + 1 == replayer.numTicks();
-        if (telemetry &&
-            (tick % telemetryEvery == 0 || lastTick)) {
-            const monitor::QualitySnapshot quality =
-                fleetMonitor.publishMetrics();
-            telemetry->writeFleet(server.snapshot(), tick);
-            telemetry->writeQuality(quality, tick);
-            telemetry->writeMetrics(tick);
-        }
-        if (dashboardEvery != 0 &&
-            (tick % dashboardEvery == 0 || lastTick)) {
-            const monitor::QualitySnapshot quality =
-                fleetMonitor.snapshot();
-            double worstDre = 0.0;
-            for (const auto &machine : quality.machines) {
-                if (std::isfinite(machine.rollingDre))
-                    worstDre =
-                        std::max(worstDre, machine.rollingDre);
-            }
-            out << "tick " << tick << ": cluster "
-                << formatDouble(server.snapshot().clusterW, 1)
-                << " W, worst rolling DRE "
-                << formatPercent(worstDre, 1) << ", drifting "
-                << quality.driftingCount() << "/"
-                << quality.machines.size() << "\n";
-        }
-    };
-
-    const serve::ReplayStats stats =
-        replayer.replayInto(server, replayConfig);
-
-    const monitor::QualitySnapshot quality =
-        fleetMonitor.publishMetrics();
-    out << "monitored " << stats.ticks << " ticks x "
-        << fleetMonitor.numMachines() << " machines: "
-        << stats.submitted << " samples, " << server.processed()
-        << " processed, " << server.dropped() << " dropped\n";
-    TextTable table({"Machine", "Quality", "rMSE (W)", "DRE", "Bias (W)",
-                     "Drift stat"});
-    for (const monitor::MachineQualityReport &machine :
-         quality.machines) {
-        table.addRow(
-            {machine.id, modelQualityName(machine.quality),
-             formatDouble(machine.windowRmseW, 2),
-             std::isfinite(machine.rollingDre)
-                 ? formatPercent(machine.rollingDre, 1)
-                 : "n/a",
-             formatDouble(machine.biasW, 2),
-             formatDouble(machine.driftStatistic, 1)});
-    }
-    out << table.render();
-    out << "drift events: " << fleetMonitor.driftEvents() << "\n";
-
-    if (telemetry) {
-        telemetry->flush();
-        out << "wrote " << telemetry->records()
-            << " telemetry records to " << telemetry->path() << "\n";
-    }
+    pipeline.finish(out);
     return 0;
 }
 
@@ -1369,33 +1130,24 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
     const int modes = (syntheticCount.empty() ? 0 : 1) +
                       (telemetryPath.empty() ? 0 : 1) +
                       (replayPath.empty() ? 0 : 1);
-    if (modes != 1) {
-        err << "usage: chaos fleetview (--synthetic N | --telemetry "
-               "F.jsonl | --replay data.csv (--model M | --fleet F))\n"
-               "    [--ticks N] [--seed S] [--worst N] [--path "
-               "dc0/row1] [--rollup-out F.jsonl]\n"
-               "    [--group-size N] [--platform P]\n";
-        return 2;
-    }
+    if (modes != 1)
+        return usageError("fleetview", err);
 
     rollup::RollupConfig rollupConfig;
-    rollupConfig.worstN = static_cast<std::size_t>(
-        std::stoul(args.flagOr("worst", "5")));
+    rollupConfig.worstN = args.number<std::size_t>("worst", 5);
     rollup::RollupTree tree(rollupConfig);
 
-    const std::size_t groupSize = static_cast<std::size_t>(
-        std::stoul(args.flagOr("group-size", "8")));
+    const auto groupSize = args.number<std::size_t>("group-size", 8);
     const std::string platform = args.flagOr("platform", "");
 
     if (!syntheticCount.empty()) {
         FleetTopologyConfig topoConfig;
-        topoConfig.machines = static_cast<std::size_t>(
-            std::stoul(syntheticCount));
-        topoConfig.seed = std::stoull(args.flagOr("seed", "42"));
+        topoConfig.machines =
+            args.number("synthetic", topoConfig.machines);
+        topoConfig.seed = args.number("seed", topoConfig.seed);
         const FleetTopology topology(topoConfig);
         rollup::SyntheticRollupFeed feed(tree, topology);
-        const std::uint64_t ticks =
-            std::stoull(args.flagOr("ticks", "30"));
+        const auto ticks = args.number<std::uint64_t>("ticks", 30);
         for (std::uint64_t t = 0; t < ticks; ++t)
             feed.tick(t);
         out << "synthetic fleet: " << topology.size()
@@ -1452,61 +1204,22 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
             return 2;
         }
         const Dataset data = loadDataset(replayPath);
-        serve::TraceReplayer replayer(data);
-        serve::FleetServer server;
-
-        OnlineEstimatorConfig estimatorConfig;
-        if (!platform.empty()) {
-            estimatorConfig = OnlineEstimatorConfig::forSpec(
-                machineSpecFor(machineClassFromName(platform)));
-        }
-        if (!modelPath.empty()) {
-            const MachinePowerModel model =
-                loadMachineModelFile(modelPath);
-            for (const std::string &id : replayer.machineIds())
-                server.addMachine(id, model, estimatorConfig);
-        } else {
-            for (serve::FleetMachine &machine :
-                 serve::loadFleetModels(fleetPath)) {
-                server.addMachine(machine.id,
-                                  std::move(machine.model),
-                                  estimatorConfig);
-            }
-        }
-
-        monitor::QualityMonitorConfig qualityConfig;
-        qualityConfig.windowSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("window", "60")));
-        qualityConfig.warmupSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("warmup", "600")));
-        monitor::FleetMonitor fleetMonitor(qualityConfig);
-        fleetMonitor.attach(server);
+        const serve::TraceReplayer replayer(data);
+        Pipeline pipeline(args, replayer.machineIds(), &data, true);
 
         rollup::LiveRollupFeed feed(tree);
-        placeSequentially(feed, server.machineIds(), groupSize,
+        placeSequentially(feed, pipeline.server.machineIds(), groupSize,
                           platform.empty() ? "unknown" : platform);
-
-        serve::ReplayConfig replayConfig;
-        replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-        const std::uint64_t observeEvery =
-            std::stoull(args.flagOr("ticks", "10"));
-        replayConfig.onTick = [&](size_t tick) {
-            // Synchronous lockstep, like cmdMonitor: drain this
-            // tick's samples, then join the snapshots into the tree.
-            while (server.processed() + server.dropped() <
-                   server.submitted())
-                server.drainOnce();
-            const bool lastTick = tick + 1 == replayer.numTicks();
-            if (observeEvery != 0 &&
-                (tick % observeEvery == 0 || lastTick)) {
-                feed.observe(server.snapshot(),
-                             fleetMonitor.snapshot());
-            }
-        };
-        const serve::ReplayStats stats =
-            replayer.replayInto(server, replayConfig);
+        const auto observeEvery = args.number<std::size_t>("ticks", 10);
+        const serve::ReplayStats stats = replayLockstep(
+            pipeline, replayer, out, [&](std::size_t tick) {
+                if (due(observeEvery, tick, replayer.numTicks())) {
+                    feed.observe(pipeline.server.snapshot(),
+                                 pipeline.quality->snapshot());
+                }
+            });
         out << "live replay: " << stats.ticks << " ticks x "
-            << server.numMachines() << " machines, "
+            << pipeline.server.numMachines() << " machines, "
             << feed.observed() << " roll-up joins\n";
     }
 
@@ -1530,290 +1243,12 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
     return 0;
 }
 
-/**
- * Rebuild @p data with the listed machines' counter vectors passed
- * through a stuck-counter DriftStorm from @p onsetTick on (metered
- * power stays true — that divergence is what the monitor detects).
- * @p targets holds replay-style ids ("machine<N>"); rows keep their
- * recorded order, with a per-machine tick counter driving the storm.
- */
-Dataset
-injectStuckCounters(const Dataset &data,
-                    const std::vector<std::string> &targets,
-                    std::size_t onsetTick, std::size_t staggerTicks,
-                    std::uint64_t seed)
-{
-    DriftStormConfig stormConfig;
-    stormConfig.machines = targets.size();
-    stormConfig.onsetTick = onsetTick;
-    stormConfig.staggerTicks = staggerTicks;
-    stormConfig.seed = seed;
-    DriftStorm storm(stormConfig);
-
-    Dataset faulted(data.featureNames());
-    std::map<int, std::size_t> tickOf;
-    for (size_t r = 0; r < data.numRows(); ++r) {
-        const int machine = data.machineIds()[r];
-        const std::size_t tick = tickOf[machine]++;
-        std::vector<double> row = data.features().row(r);
-        const auto target =
-            std::find(targets.begin(), targets.end(),
-                      "machine" + std::to_string(machine));
-        if (target != targets.end()) {
-            row = storm.apply(
-                static_cast<std::size_t>(target - targets.begin()),
-                tick, std::move(row));
-        }
-        faulted.addRow(
-            row, data.powerW()[r], data.runIds()[r], machine,
-            data.workloadNames()[data.workloadIds()[r]]);
-    }
-    return faulted;
-}
-
-/**
- * Replay a recorded trace through the full self-healing loop: fleet
- * server + quality monitor + remediation autopilot. Drift verdicts
- * quarantine the machine behind a substitute model, a retrain on the
- * live reference window produces a candidate, and a canary-gated swap
- * either promotes it or rolls back. --inject-stuck fault-injects the
- * trace itself (stuck counters under a moving workload) so the whole
- * loop can be demonstrated from a clean recording.
- *
- * Replay is synchronous and single-threaded (samples drain and the
- * autopilot ticks inside the replay onTick hook, retrains run inline)
- * so a fixed trace and seed reproduce the same remediation story.
- */
-int
-cmdAutopilot(const ParsedArgs &args, std::ostream &out,
-             std::ostream &err)
-{
-    const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
-        err << "usage: chaos autopilot --replay <data.csv> "
-               "(--model <model.txt> | --fleet <manifest.txt>)\n"
-               "    [--platform P] [--speed X] [--window N] "
-               "[--warmup N]\n"
-               "    [--drift-lambda L] [--drift-delta D]\n"
-               "    [--substitute pooled|lastgood] [--retrain-type T]\n"
-               "    [--canary-samples N] [--cooldown N] "
-               "[--max-retrains N]\n"
-               "    [--reference-window N] [--min-retrain-samples N]\n"
-               "    [--inject-stuck \"machine0;machine1\"] "
-               "[--inject-at T] [--inject-stagger N]\n"
-               "    [--telemetry-out F.jsonl|tcp://h:p] [--telemetry-every N] "
-               "[--dashboard-every N]\n";
-        return 2;
-    }
-
-    Dataset data = loadDataset(replayPath);
-
-    // The pooled quarantine substitute is fit on the clean recording;
-    // faults are injected afterwards, into the replayed copy only.
-    const std::string substituteMode =
-        args.flagOr("substitute", "pooled");
-    if (substituteMode != "pooled" && substituteMode != "lastgood") {
-        err << "error: --substitute must be pooled or lastgood\n";
-        return 2;
-    }
-    const Dataset cleanData = data;
-
-    const std::string injectIds = args.flagOr("inject-stuck", "");
-    if (!injectIds.empty()) {
-        std::vector<std::string> targets;
-        for (const std::string &part : split(injectIds, ';')) {
-            const std::string id = trim(part);
-            if (!id.empty())
-                targets.push_back(id);
-        }
-        data = injectStuckCounters(
-            data, targets,
-            std::stoul(args.flagOr("inject-at", "0")),
-            std::stoul(args.flagOr("inject-stagger", "0")),
-            std::stoull(args.flagOr("seed", "2012")));
-    }
-
-    serve::TraceReplayer replayer(data);
-    serve::FleetServer server;
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    FeatureSet substituteFeatures;
-    if (!modelPath.empty()) {
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        substituteFeatures = model.featureSet();
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        std::vector<serve::FleetMachine> fleet =
-            serve::loadFleetModels(fleetPath);
-        raiseIf(fleet.empty(), "empty fleet manifest " + fleetPath);
-        substituteFeatures = fleet.front().model.featureSet();
-        for (serve::FleetMachine &machine : fleet) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
-
-    monitor::QualityMonitorConfig qualityConfig;
-    qualityConfig.windowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "60")));
-    qualityConfig.warmupSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("warmup", "600")));
-    qualityConfig.driftLambda =
-        std::stod(args.flagOr("drift-lambda", "60"));
-    qualityConfig.driftDelta =
-        std::stod(args.flagOr("drift-delta", "0.5"));
-    monitor::FleetMonitor fleetMonitor(qualityConfig);
-    fleetMonitor.attach(server);
-
-    autopilot::AutopilotConfig pilotConfig;
-    pilotConfig.backgroundRetrain = false; // Deterministic replay.
-    pilotConfig.maxConcurrentRetrains = static_cast<size_t>(
-        std::stoul(args.flagOr("max-retrains", "2")));
-    pilotConfig.referenceWindowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("reference-window", "256")));
-    pilotConfig.retrainMinSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("min-retrain-samples", "64")));
-    pilotConfig.canaryMinSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("canary-samples", "32")));
-    pilotConfig.cooldownTicks = static_cast<size_t>(
-        std::stoul(args.flagOr("cooldown", "60")));
-    const std::string retrainType = args.flagOr("retrain-type", "");
-    if (!retrainType.empty()) {
-        bool ok = false;
-        pilotConfig.fallbackRetrainType =
-            modelTypeFromString(retrainType, err, ok);
-        if (!ok)
-            return 2;
-    }
-    autopilot::AutopilotController pilot(server, fleetMonitor,
-                                         pilotConfig);
-    if (substituteMode == "pooled") {
-        pilot.setSubstituteModel(
-            fitPooledSubstitute(cleanData, substituteFeatures));
-    }
-    pilot.start();
-
-    std::optional<monitor::TelemetryExporter> telemetry;
-    const std::string telemetryOut = args.flagOr("telemetry-out", "");
-    if (!telemetryOut.empty()) {
-        // "tcp://host:port" streams records to a live collector over
-        // a socket; anything else is a JSONL file path.
-        if (net::isSocketTarget(telemetryOut))
-            telemetry.emplace(net::connectLineSink(telemetryOut),
-                              telemetryOut);
-        else
-            telemetry.emplace(telemetryOut);
-    }
-    const size_t telemetryEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("telemetry-every", "10")));
-    const size_t dashboardEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("dashboard-every", "0")));
-
-    serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-    replayConfig.onTick = [&](size_t tick) {
-        // Synchronous lockstep: drain, then advance the autopilot.
-        while (server.processed() + server.dropped() <
-               server.submitted())
-            server.drainOnce();
-        pilot.tick();
-        const bool lastTick = tick + 1 == replayer.numTicks();
-        if (telemetry &&
-            (tick % telemetryEvery == 0 || lastTick)) {
-            const monitor::QualitySnapshot quality =
-                fleetMonitor.publishMetrics();
-            telemetry->writeFleet(server.snapshot(), tick);
-            telemetry->writeQuality(quality, tick);
-            telemetry->writeMetrics(tick);
-        }
-        if (dashboardEvery != 0 &&
-            (tick % dashboardEvery == 0 || lastTick)) {
-            const serve::FleetSnapshot snap = server.snapshot();
-            size_t remediating = 0;
-            for (const autopilot::MachineRemediation &machine :
-                 pilot.status()) {
-                if (machine.state !=
-                    autopilot::RemediationState::Serving)
-                    ++remediating;
-            }
-            out << "tick " << tick << ": cluster "
-                << formatDouble(snap.clusterW, 1) << " W, quarantined "
-                << snap.quarantined << "/" << snap.machines.size()
-                << ", remediating " << remediating << "\n";
-        }
-    };
-
-    const serve::ReplayStats stats =
-        replayer.replayInto(server, replayConfig);
-    pilot.stop();
-
-    const monitor::QualitySnapshot quality = fleetMonitor.snapshot();
-    out << "replayed " << stats.ticks << " ticks x "
-        << server.numMachines() << " machines: " << stats.submitted
-        << " samples, " << server.processed() << " processed, "
-        << server.dropped() << " dropped\n";
-
-    std::map<std::string, const monitor::MachineQualityReport *>
-        reportById;
-    for (const monitor::MachineQualityReport &machine :
-         quality.machines)
-        reportById[machine.id] = &machine;
-    TextTable table({"Machine", "State", "Quality", "Quar", "Promo",
-                     "Rollb", "Canary rMSE (W)"});
-    for (const autopilot::MachineRemediation &machine :
-         pilot.status()) {
-        const auto report = reportById.find(machine.id);
-        const std::string qualityName =
-            report != reportById.end()
-                ? modelQualityName(report->second->quality)
-                : "n/a";
-        const std::string canary =
-            machine.promotions + machine.rollbacks > 0
-                ? formatDouble(machine.lastCandidateRmseW, 2) +
-                      " vs " +
-                      formatDouble(machine.lastIncumbentRmseW, 2)
-                : "n/a";
-        table.addRow({machine.id,
-                      autopilot::remediationStateName(machine.state),
-                      qualityName, std::to_string(machine.quarantines),
-                      std::to_string(machine.promotions),
-                      std::to_string(machine.rollbacks), canary});
-    }
-    out << table.render();
-
-    const autopilot::AutopilotStats pilotStats = pilot.stats();
-    out << "autopilot summary: quarantines=" << pilotStats.quarantines
-        << " retrains=" << pilotStats.retrainsStarted
-        << " promotions=" << pilotStats.promotions
-        << " rollbacks=" << pilotStats.rollbacks
-        << " failures=" << pilotStats.retrainFailures << "\n";
-    out << "drift events: " << fleetMonitor.driftEvents() << "\n";
-
-    if (telemetry) {
-        telemetry->flush();
-        out << "wrote " << telemetry->records()
-            << " telemetry records to " << telemetry->path() << "\n";
-    }
-    return 0;
-}
-
 int
 cmdReport(const ParsedArgs &args, std::ostream &out,
           std::ostream &err)
 {
-    if (args.positional.size() != 2) {
-        err << "usage: chaos report <data.csv>\n";
-        return 2;
-    }
+    if (args.positional.size() != 2)
+        return usageError("report", err);
     const Dataset data = loadDataset(args.positional[1]);
     if (data.numRows() == 0) {
         err << "error: empty dataset\n";
@@ -1844,76 +1279,39 @@ cmdReport(const ParsedArgs &args, std::ostream &out,
         }
         if (watts.empty())
             continue;
-        double total = 0.0;
-        for (double w : watts)
-            total += w;
+        const double total =
+            std::accumulate(watts.begin(), watts.end(), 0.0);
         out << "| " << workload << " | " << watts.size() << " | "
             << formatDouble(minValue(watts), 1) << " | "
             << formatDouble(total / watts.size(), 1) << " | "
             << formatDouble(maxValue(watts), 1) << " | "
-            << formatDouble(total / 1000.0 /
-                                static_cast<double>(
-                                    workload_runs.size()),
-                            1)
+            << formatDouble(total / 1000.0 / workload_runs.size(), 1)
             << " |\n";
     }
     return 0;
 }
-
-} // namespace
-
-namespace {
 
 /** Dispatch one parsed subcommand; may raise RecoverableError. */
 int
 dispatch(const std::string &command, const ParsedArgs &parsed,
          std::ostream &out, std::ostream &err)
 {
-    if (command == "list-platforms")
-        return cmdListPlatforms(out);
-    if (command == "list-counters")
-        return cmdListCounters(parsed, out, err);
-    if (command == "probe")
-        return cmdProbe(parsed, out, err);
-    if (command == "collect")
-        return cmdCollect(parsed, out, err);
-    if (command == "select")
-        return cmdSelect(parsed, out, err);
-    if (command == "train")
-        return cmdTrain(parsed, out, err);
-    if (command == "evaluate")
-        return cmdEvaluate(parsed, out, err);
-    if (command == "predict")
-        return cmdPredict(parsed, out, err);
-    if (command == "serve")
-        return cmdServe(parsed, out, err);
-    if (command == "loadgen")
-        return cmdLoadgen(parsed, out, err);
-    if (command == "top")
-        return cmdTop(parsed, out, err);
-    if (command == "monitor")
-        return cmdMonitor(parsed, out, err);
-    if (command == "autopilot")
-        return cmdAutopilot(parsed, out, err);
-    if (command == "fleetview")
-        return cmdFleetview(parsed, out, err);
-    if (command == "report")
-        return cmdReport(parsed, out, err);
-
+    using Command =
+        int (*)(const ParsedArgs &, std::ostream &, std::ostream &);
+    static const std::map<std::string, Command> commands = {
+        {"list-platforms", cmdListPlatforms},
+        {"list-counters", cmdListCounters}, {"probe", cmdProbe},
+        {"collect", cmdCollect}, {"select", cmdSelect},
+        {"train", cmdTrain}, {"evaluate", cmdEvaluate},
+        {"predict", cmdPredict}, {"serve", cmdServe},
+        {"loadgen", cmdLoadgen}, {"top", cmdTop},
+        {"fleetview", cmdFleetview}, {"report", cmdReport}};
+    const auto it = commands.find(command);
+    if (it != commands.end())
+        return it->second(parsed, out, err);
     err << "error: unknown subcommand '" << command
         << "' (try 'chaos help')\n";
     return 2;
-}
-
-/** Write @p content to @p path, raising RecoverableError on failure. */
-void
-writeTextFile(const std::string &path, const std::string &content)
-{
-    std::ofstream file(path);
-    raiseIf(!file, "cannot write " + path);
-    file << content;
-    file.flush();
-    raiseIf(!file.good(), "failed writing " + path);
 }
 
 /**
@@ -1966,19 +1364,24 @@ struct ObsOptions
 };
 
 } // namespace
+} // namespace chaos::cli
+
+namespace chaos {
 
 int
 runCli(const std::vector<std::string> &args, std::ostream &out,
        std::ostream &err)
 {
-    if (args.empty() || args[0] == "help" || args[0] == "--help")
-        return cmdHelp(out);
+    if (args.empty() || args[0] == "help" || args[0] == "--help") {
+        out << cli::kHelpText;
+        return 0;
+    }
 
-    const auto parsed = parseArgs(args, err);
+    const auto parsed = cli::parseArgs(args, err);
     if (!parsed)
         return 2;
 
-    const auto obs_options = ObsOptions::fromArgs(*parsed, err);
+    const auto obs_options = cli::ObsOptions::fromArgs(*parsed, err);
     if (!obs_options)
         return 2;
 
@@ -1991,7 +1394,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     // and a nonzero exit code.
     int code;
     try {
-        code = dispatch(command, *parsed, out, err);
+        code = cli::dispatch(command, *parsed, out, err);
     } catch (const RecoverableError &e) {
         err << "error: " << e.message() << "\n";
         code = 2;

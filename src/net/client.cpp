@@ -52,15 +52,7 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
     sample.meteredW = meteredW;
     sample.row.assign(row, row + rowSize);
 
-    if (cfg.jsonl) {
-        Frame out;
-        out.type = FrameType::Sample;
-        out.sample = std::move(sample);
-        const std::string line = encodeJsonl(out);
-        outBuf.insert(outBuf.end(), line.begin(), line.end());
-    } else {
-        encodeSample(sample, outBuf);
-    }
+    encodeSample(sample, outBuf);
     if (outBuf.size() >= cfg.coalesceBytes)
         flushSendBuffer();
     ++sentCount;

@@ -40,8 +40,6 @@ struct IngestClientConfig
     std::uint16_t port = 0;
     /** Max samples in flight before send() blocks pumping acks. */
     std::size_t window = 1024;
-    /** Speak JSONL instead of binary frames. */
-    bool jsonl = false;
     /** Credit-RTT ring capacity (latency percentiles). */
     std::size_t maxLatencySamples = 8192;
     /** Give up pumping acks after this long with no progress, ms. */

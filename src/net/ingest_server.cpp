@@ -122,7 +122,6 @@ struct ChaosIngestServer::Connection
 
     // Cross-thread-visible accounting (stats()).
     std::atomic<bool> openFlag{true};
-    std::atomic<bool> sawJsonl{false};
     std::atomic<std::uint64_t> bytesIn{0};
     std::atomic<std::uint64_t> bytesOut{0};
     std::atomic<std::uint64_t> framesIn{0};
@@ -355,8 +354,6 @@ ChaosIngestServer::processFrames(Connection &conn)
                 static_cast<double>(t1 - t0) / 1000.0);
         conn.framesIn.fetch_add(1);
         NetMetrics::get().frames.add();
-        if (conn.reader.jsonlMode())
-            conn.sawJsonl.store(true);
         switch (conn.frame.type) {
         case FrameType::Sample:
             handleSample(conn, t1);
@@ -458,19 +455,9 @@ ChaosIngestServer::queueCredit(Connection &conn)
     credits.fetch_add(1);
     NetMetrics::get().credits.add();
 
-    Frame frame;
-    frame.type = FrameType::Credit;
-    frame.credit = credit;
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeCredit(credit, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    std::vector<std::uint8_t> buf;
+    encodeCredit(credit, buf);
+    queueBytes(conn, buf.data(), buf.size());
 }
 
 void
@@ -482,19 +469,9 @@ ChaosIngestServer::queueNack(Connection &conn, NackReason reason)
     nacks.fetch_add(1);
     NetMetrics::get().nacks.add();
 
-    Frame frame;
-    frame.type = FrameType::Nack;
-    frame.nack = nack;
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeNack(nack, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    std::vector<std::uint8_t> buf;
+    encodeNack(nack, buf);
+    queueBytes(conn, buf.data(), buf.size());
 }
 
 void
@@ -503,20 +480,12 @@ ChaosIngestServer::queueSnapshot(Connection &conn, std::uint64_t seq)
     introspects.fetch_add(1);
     NetMetrics::get().introspects.add();
 
-    Frame frame;
-    frame.type = FrameType::Snapshot;
-    frame.snapshot.seq = seq;
-    frame.snapshot.json = buildIntrospectJson();
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeSnapshot(frame.snapshot, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    SnapshotFrame snapshot;
+    snapshot.seq = seq;
+    snapshot.json = buildIntrospectJson();
+    std::vector<std::uint8_t> buf;
+    encodeSnapshot(snapshot, buf);
+    queueBytes(conn, buf.data(), buf.size());
 }
 
 std::string
@@ -635,7 +604,6 @@ ChaosIngestServer::stats() const
         ConnectionStats cs;
         cs.id = conn->id;
         cs.peer = conn->peer;
-        cs.jsonl = conn->sawJsonl.load();
         cs.open = conn->openFlag.load(std::memory_order_acquire);
         cs.bytesIn = conn->bytesIn.load();
         cs.bytesOut = conn->bytesOut.load();
@@ -683,9 +651,8 @@ IngestStats::toJson() const
         if (i > 0)
             json << ", ";
         json << "{\"id\": " << cs.id << ", \"peer\": \""
-             << obs::jsonEscape(cs.peer) << "\", \"jsonl\": "
-             << (cs.jsonl ? "true" : "false")
-             << ", \"open\": " << (cs.open ? "true" : "false")
+             << obs::jsonEscape(cs.peer) << "\", \"open\": "
+             << (cs.open ? "true" : "false")
              << ", \"bytes_in\": " << cs.bytesIn
              << ", \"bytes_out\": " << cs.bytesOut
              << ", \"frames_in\": " << cs.framesIn

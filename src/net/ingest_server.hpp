@@ -9,7 +9,7 @@
  *
  *   clients ──TCP──> poll() listener thread
  *       per-connection FrameReader (tolerates arbitrary
- *       fragmentation; binary or JSONL framing, see net/protocol.hpp)
+ *       fragmentation; see net/protocol.hpp)
  *       decoded Sample frames ──offer()──> FleetServer shard queues
  *       Credit/Nack frames ──buffered writes──> clients
  *
@@ -89,7 +89,6 @@ struct ConnectionStats
 {
     std::uint64_t id = 0;     ///< Accept-order id, unique per server.
     std::string peer;         ///< "addr:port" of the client.
-    bool jsonl = false;       ///< JSONL framing (vs binary).
     bool open = false;
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;

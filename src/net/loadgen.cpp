@@ -101,7 +101,6 @@ LoadGenerator::runWorker(std::size_t firstConn, std::size_t count,
         clientCfg.host = cfg.host;
         clientCfg.port = cfg.port;
         clientCfg.window = cfg.window;
-        clientCfg.jsonl = cfg.jsonl;
         clients[k] = std::make_unique<IngestClient>(clientCfg);
         try {
             clients[k]->connect();

@@ -57,8 +57,6 @@ struct LoadGenConfig
     std::size_t meteredEvery = 0;
     /** Per-connection credit window. */
     std::size_t window = 1024;
-    /** Speak JSONL instead of binary frames. */
-    bool jsonl = false;
     /** Row-synthesis seed (same seed => same rows). */
     std::uint64_t seed = 42;
 };

@@ -1,8 +1,6 @@
 #include "net/protocol.hpp"
 
 #include <array>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "obs/json.hpp"
@@ -202,17 +200,6 @@ decodeError(std::string message)
     return r;
 }
 
-/** Format a double for the JSONL framing (shortest round-trip). */
-std::string
-jsonNumber(double v)
-{
-    if (std::isnan(v))
-        return "null"; // JSON has no NaN; decode maps null back.
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 } // namespace
 
 const char *
@@ -343,57 +330,6 @@ encodeSnapshot(const SnapshotFrame &frame,
     return sealFrame(out, headerAt);
 }
 
-std::string
-encodeJsonl(const Frame &frame)
-{
-    std::string line;
-    switch (frame.type) {
-      case FrameType::Sample: {
-        const SampleFrame &s = frame.sample;
-        line = "{\"type\": \"sample\", \"machine\": \"" +
-               obs::jsonEscape(s.machineId) +
-               "\", \"tick\": " + std::to_string(s.tick);
-        if (s.hasMetered)
-            line += ", \"metered_w\": " + jsonNumber(s.meteredW);
-        line += ", \"row\": [";
-        for (std::size_t i = 0; i < s.row.size(); ++i) {
-            if (i > 0)
-                line += ", ";
-            line += jsonNumber(s.row[i]);
-        }
-        line += "]}";
-        break;
-      }
-      case FrameType::Credit:
-        line = "{\"type\": \"credit\", \"accepted\": " +
-               std::to_string(frame.credit.acceptedTotal) +
-               ", \"rejected\": " +
-               std::to_string(frame.credit.rejectedTotal) +
-               ", \"granted\": " +
-               std::to_string(frame.credit.granted) + "}";
-        break;
-      case FrameType::Nack:
-        line = "{\"type\": \"nack\", \"rejected\": " +
-               std::to_string(frame.nack.rejectedTotal) +
-               ", \"reason\": \"" +
-               nackReasonName(frame.nack.reason) + "\"}";
-        break;
-      case FrameType::Introspect:
-        line = "{\"type\": \"introspect\", \"seq\": " +
-               std::to_string(frame.introspect.seq) + "}";
-        break;
-      case FrameType::Snapshot:
-        // The payload object travels as an escaped string so the line
-        // stays one flat JSON object whatever the snapshot contains.
-        line = "{\"type\": \"snapshot\", \"seq\": " +
-               std::to_string(frame.snapshot.seq) + ", \"json\": \"" +
-               obs::jsonEscape(frame.snapshot.json) + "\"}";
-        break;
-    }
-    line += '\n';
-    return line;
-}
-
 DecodeResult
 decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
 {
@@ -503,87 +439,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
     return r;
 }
 
-DecodeResult
-decodeJsonlLine(const std::string &line, Frame &out)
-{
-    obs::JsonValue v;
-    if (!obs::jsonParse(line, v) || !v.isObject())
-        return decodeError("jsonl: line is not a JSON object");
-    const std::string type = v.stringOr("type", "");
-    if (type == "sample") {
-        out.type = FrameType::Sample;
-        SampleFrame &s = out.sample;
-        s.machineId = v.stringOr("machine", "");
-        if (s.machineId.empty() ||
-            s.machineId.size() > kMaxMachineIdLen)
-            return decodeError("jsonl sample: bad machine id");
-        const obs::JsonValue *tick = v.find("tick");
-        if (tick == nullptr || !tick->isNumber() ||
-            tick->asNumber() < 0)
-            return decodeError("jsonl sample: bad tick");
-        s.tick = static_cast<std::uint64_t>(tick->asNumber());
-        const obs::JsonValue *metered = v.find("metered_w");
-        s.hasMetered = metered != nullptr && metered->isNumber();
-        s.meteredW = s.hasMetered
-                         ? metered->asNumber()
-                         : std::numeric_limits<double>::quiet_NaN();
-        const obs::JsonValue *row = v.find("row");
-        if (row == nullptr || !row->isArray() ||
-            row->items().size() > kMaxRowLen)
-            return decodeError("jsonl sample: bad row");
-        s.row.clear();
-        s.row.reserve(row->items().size());
-        for (const obs::JsonValue &item : row->items()) {
-            if (!item.isNumber() && !item.isNull())
-                return decodeError("jsonl sample: non-numeric row");
-            s.row.push_back(
-                item.isNumber()
-                    ? item.asNumber()
-                    : std::numeric_limits<double>::quiet_NaN());
-        }
-    } else if (type == "credit") {
-        out.type = FrameType::Credit;
-        out.credit.acceptedTotal =
-            static_cast<std::uint64_t>(v.numberOr("accepted", 0));
-        out.credit.rejectedTotal =
-            static_cast<std::uint64_t>(v.numberOr("rejected", 0));
-        out.credit.granted =
-            static_cast<std::uint32_t>(v.numberOr("granted", 0));
-    } else if (type == "nack") {
-        out.type = FrameType::Nack;
-        out.nack.rejectedTotal =
-            static_cast<std::uint64_t>(v.numberOr("rejected", 0));
-        const std::string reason = v.stringOr("reason", "");
-        if (reason == "backpressure")
-            out.nack.reason = NackReason::Backpressure;
-        else if (reason == "unknown_machine")
-            out.nack.reason = NackReason::UnknownMachine;
-        else if (reason == "bad_sample")
-            out.nack.reason = NackReason::BadSample;
-        else
-            return decodeError("jsonl nack: unknown reason '" +
-                               reason + "'");
-    } else if (type == "introspect") {
-        out.type = FrameType::Introspect;
-        out.introspect.seq =
-            static_cast<std::uint64_t>(v.numberOr("seq", 0));
-    } else if (type == "snapshot") {
-        out.type = FrameType::Snapshot;
-        out.snapshot.seq =
-            static_cast<std::uint64_t>(v.numberOr("seq", 0));
-        out.snapshot.json = v.stringOr("json", "");
-        if (!obs::jsonWellFormed(out.snapshot.json))
-            return decodeError("jsonl snapshot: payload is not JSON");
-    } else {
-        return decodeError("jsonl: unknown frame type '" + type +
-                           "'");
-    }
-    DecodeResult r;
-    r.status = DecodeStatus::Ok;
-    r.consumed = line.size();
-    return r;
-}
-
 bool
 decodeFrameOrRaise(const std::uint8_t *data, std::size_t size,
                    Frame &out, std::size_t &consumed)
@@ -598,20 +453,6 @@ decodeFrameOrRaise(const std::uint8_t *data, std::size_t size,
 void
 FrameReader::append(const std::uint8_t *data, std::size_t size)
 {
-    if (size == 0)
-        return;
-    if (mode == Mode::Undecided) {
-        // The first byte of the stream commits the framing.
-        if (data[0] == kMagic0) {
-            mode = Mode::Binary;
-        } else if (data[0] == '{') {
-            mode = Mode::Jsonl;
-        } else if (errorMessage.empty()) {
-            errorMessage = "stream starts with byte " +
-                           std::to_string(data[0]) +
-                           ", neither binary magic nor JSONL";
-        }
-    }
     buf.insert(buf.end(), data, data + size);
 }
 
@@ -620,31 +461,6 @@ FrameReader::next(Frame &frame)
 {
     if (!errorMessage.empty())
         return DecodeStatus::Error;
-    if (mode == Mode::Jsonl) {
-        // One '\n'-terminated JSON object per frame.
-        for (std::size_t i = readPos; i < buf.size(); ++i) {
-            if (buf[i] != '\n')
-                continue;
-            lineScratch.assign(
-                reinterpret_cast<const char *>(buf.data()) + readPos,
-                i - readPos);
-            readPos = i + 1;
-            compact();
-            const DecodeResult r = decodeJsonlLine(lineScratch, frame);
-            if (r.status == DecodeStatus::Error) {
-                errorMessage = r.error;
-                return DecodeStatus::Error;
-            }
-            return DecodeStatus::Ok;
-        }
-        // An unterminated line longer than any legal frame can never
-        // complete usefully; fail instead of buffering forever.
-        if (buffered() > kMaxPayloadLen) {
-            errorMessage = "jsonl line exceeds the frame size cap";
-            return DecodeStatus::Error;
-        }
-        return DecodeStatus::NeedMore;
-    }
     const DecodeResult r =
         decodeFrame(buf.data() + readPos, buffered(), frame);
     switch (r.status) {

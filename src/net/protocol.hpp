@@ -4,9 +4,7 @@
  * from collector machines to a ChaosIngestServer, and how credit /
  * NACK backpressure travels back.
  *
- * A connection speaks one of two framings, chosen by its first byte:
- *
- *  - Binary ('C'): length-prefixed frames with a fixed 12-byte header
+ * Frames are length-prefixed with a fixed 12-byte header:
  *
  *        offset  size  field
  *        0       1     magic0 'C'
@@ -24,17 +22,7 @@
  *    caught by the checksum and the two magic bytes are checked
  *    directly: a mutated frame is rejected, never silently accepted.
  *
- *  - JSONL ('{'): one JSON object per '\n'-terminated line, for
- *    debuggability (drive a server with a shell heredoc, inspect a
- *    capture with standard tools). Same frame vocabulary:
- *
- *        {"type": "sample", "machine": "m0", "tick": 3,
- *         "row": [..], "metered_w": 93.5}
- *        {"type": "credit", "accepted": 10, "rejected": 0,
- *         "granted": 10}
- *        {"type": "nack", "rejected": 4, "reason": "backpressure"}
- *
- * Frame vocabulary (both framings):
+ * Frame vocabulary:
  *
  *  - Sample (client -> server): one machine-second of telemetry —
  *    machine id, tick, the catalog-ordered counter row, and an
@@ -189,9 +177,6 @@ std::size_t encodeIntrospect(const IntrospectFrame &frame,
 std::size_t encodeSnapshot(const SnapshotFrame &frame,
                            std::vector<std::uint8_t> &out);
 
-/** @return @p frame as one JSONL line (single line, '\n'-terminated). */
-std::string encodeJsonl(const Frame &frame);
-
 // ---- Decoding ------------------------------------------------------
 
 /** What one decode attempt concluded. */
@@ -222,13 +207,6 @@ DecodeResult decodeFrame(const std::uint8_t *data, std::size_t size,
                          Frame &out);
 
 /**
- * Decode one frame from a JSONL line (without the trailing newline).
- * @return Error (never NeedMore) on malformed JSON or an unknown /
- *         structurally invalid frame object.
- */
-DecodeResult decodeJsonlLine(const std::string &line, Frame &out);
-
-/**
  * Exception-style wrapper over decodeFrame for callers that want the
  * library's RecoverableError contract: raises on Error, returns false
  * on NeedMore, true (with @p out filled) on Ok.
@@ -239,9 +217,8 @@ bool decodeFrameOrRaise(const std::uint8_t *data, std::size_t size,
 /**
  * Incremental framing state machine for one connection. Feed it bytes
  * in whatever fragments the transport delivers; pull whole frames
- * out. The first byte of the stream selects the framing: 'C' binary,
- * '{' JSONL, anything else is an immediate protocol error. Errors are
- * sticky — a corrupt stream cannot resynchronize, matching the
+ * out. A stream whose first byte is not the binary magic is an
+ * immediate protocol error. Errors are sticky — a corrupt stream cannot resynchronize, matching the
  * server's close-on-error contract.
  */
 class FrameReader
@@ -260,22 +237,15 @@ class FrameReader
     /** Human-readable cause of the sticky Error state ("" while ok). */
     const std::string &error() const { return errorMessage; }
 
-    /** True once the stream committed to JSONL framing. */
-    bool jsonlMode() const { return mode == Mode::Jsonl; }
-
     /** Bytes buffered but not yet consumed by a decoded frame. */
     std::size_t buffered() const { return buf.size() - readPos; }
 
   private:
-    enum class Mode { Undecided, Binary, Jsonl };
-
     void compact();
 
-    Mode mode = Mode::Undecided;
     std::vector<std::uint8_t> buf;
     std::size_t readPos = 0;
     std::string errorMessage;
-    std::string lineScratch; ///< Reused JSONL line buffer.
 };
 
 } // namespace chaos::net

@@ -33,204 +33,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-namespace {
-
-/// Recursive-descent validator over a [pos, end) window. Each parse*
-/// function returns false on malformed input and otherwise advances
-/// pos past the parsed construct.
-struct Validator {
-    const std::string &text;
-    std::size_t pos = 0;
-    int depth = 0;
-    static constexpr int maxDepth = 256;
-
-    bool
-    atEnd() const
-    {
-        return pos >= text.size();
-    }
-
-    char
-    peek() const
-    {
-        return text[pos];
-    }
-
-    void
-    skipSpace()
-    {
-        while (!atEnd() && (text[pos] == ' ' || text[pos] == '\t' ||
-                            text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (atEnd() || text[pos] != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseString()
-    {
-        if (!consume('"'))
-            return false;
-        while (!atEnd()) {
-            char c = text[pos++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false; // Raw control character.
-            if (c == '\\') {
-                if (atEnd())
-                    return false;
-                char esc = text[pos++];
-                switch (esc) {
-                  case '"': case '\\': case '/': case 'b': case 'f':
-                  case 'n': case 'r': case 't':
-                    break;
-                  case 'u':
-                    for (int i = 0; i < 4; ++i) {
-                        if (atEnd() || !std::isxdigit(static_cast<unsigned char>(
-                                           text[pos])))
-                            return false;
-                        ++pos;
-                    }
-                    break;
-                  default:
-                    return false;
-                }
-            }
-        }
-        return false; // Unterminated.
-    }
-
-    bool
-    parseNumber()
-    {
-        consume('-');
-        if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return false;
-        if (peek() == '0') {
-            ++pos;
-        } else {
-            while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        if (!atEnd() && peek() == '.') {
-            ++pos;
-            if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return false;
-            while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-            ++pos;
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
-                ++pos;
-            if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return false;
-            while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        return true;
-    }
-
-    bool
-    parseLiteral(const char *word)
-    {
-        for (const char *p = word; *p; ++p) {
-            if (atEnd() || text[pos] != *p)
-                return false;
-            ++pos;
-        }
-        return true;
-    }
-
-    bool
-    parseValue()
-    {
-        if (++depth > maxDepth)
-            return false;
-        skipSpace();
-        if (atEnd()) {
-            --depth;
-            return false;
-        }
-        bool ok = false;
-        switch (peek()) {
-          case '{': ok = parseObject(); break;
-          case '[': ok = parseArray(); break;
-          case '"': ok = parseString(); break;
-          case 't': ok = parseLiteral("true"); break;
-          case 'f': ok = parseLiteral("false"); break;
-          case 'n': ok = parseLiteral("null"); break;
-          default: ok = parseNumber(); break;
-        }
-        --depth;
-        return ok;
-    }
-
-    bool
-    parseObject()
-    {
-        if (!consume('{'))
-            return false;
-        skipSpace();
-        if (consume('}'))
-            return true;
-        while (true) {
-            skipSpace();
-            if (!parseString())
-                return false;
-            skipSpace();
-            if (!consume(':'))
-                return false;
-            if (!parseValue())
-                return false;
-            skipSpace();
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool
-    parseArray()
-    {
-        if (!consume('['))
-            return false;
-        skipSpace();
-        if (consume(']'))
-            return true;
-        while (true) {
-            if (!parseValue())
-                return false;
-            skipSpace();
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-};
-
-} // namespace
-
-bool
-jsonWellFormed(const std::string &text)
-{
-    Validator v{text};
-    if (!v.parseValue())
-        return false;
-    v.skipSpace();
-    return v.atEnd();
-}
-
 const JsonValue *
 JsonValue::find(const std::string &key) const
 {
@@ -263,9 +65,9 @@ JsonValue::boolOr(const std::string &key, bool fallback) const
     return v && v->isBool() ? v->asBool() : fallback;
 }
 
-/// Recursive-descent parser building a JsonValue DOM. Same grammar as
-/// the Validator above; kept separate so the validation hot path
-/// (every JSONL line) never pays for DOM allocation.
+/// Recursive-descent parser building a JsonValue DOM. Each parse*
+/// function returns false on malformed input and otherwise advances
+/// pos past the parsed construct.
 struct JsonParser {
     const std::string &text;
     std::size_t pos = 0;
@@ -374,13 +176,40 @@ struct JsonParser {
     }
 
     bool
+    digit() const
+    {
+        return !atEnd() &&
+               std::isdigit(static_cast<unsigned char>(peek()));
+    }
+
+    /** Consume one or more digits; false when none is there. */
+    bool
+    digits()
+    {
+        if (!digit())
+            return false;
+        while (digit())
+            ++pos;
+        return true;
+    }
+
+    bool
     parseNumber(double &out)
     {
         const std::size_t start = pos;
-        Validator v{text, pos};
-        if (!v.parseNumber())
+        consume('-');
+        if (!digit())
             return false;
-        pos = v.pos;
+        if (!consume('0'))
+            digits();
+        if (consume('.') && !digits())
+            return false;
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (!digits())
+                return false;
+        }
         out = std::strtod(text.c_str() + start, nullptr);
         return true;
     }
@@ -492,6 +321,13 @@ struct JsonParser {
         }
     }
 };
+
+bool
+jsonWellFormed(const std::string &text)
+{
+    JsonValue discarded;
+    return jsonParse(text, discarded);
+}
 
 bool
 jsonParse(const std::string &text, JsonValue &out)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Minimal JSON support without an external dependency: a
- * well-formedness checker (parse-only) used to validate exported
- * trace, metrics, and event files, and a small read-only DOM
- * (JsonValue + jsonParse) used by the roll-up layer to ingest the
- * telemetry JSONL the exporter writes.
+ * Minimal JSON support without an external dependency: one
+ * recursive-descent parser building a small read-only DOM (JsonValue
+ * + jsonParse), used by the roll-up layer to ingest the telemetry
+ * JSONL the exporter writes, and a well-formedness check on top of it
+ * that validates exported trace, metrics, and event files.
  *
  * Like the rest of this library it sits below chaos_util: parse
  * failures report through a bool, never an exception.
@@ -22,7 +22,8 @@ namespace chaos::obs {
 /**
  * @return True when @p text is exactly one well-formed JSON value
  *         (object, array, string, number, true/false/null) with
- *         nothing but whitespace around it.
+ *         nothing but whitespace around it (jsonParse into a
+ *         discarded value).
  */
 bool jsonWellFormed(const std::string &text);
 

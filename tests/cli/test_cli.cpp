@@ -59,7 +59,8 @@ TEST(Cli, HelpListsSubcommands)
     const CliResult result = run({"help"});
     EXPECT_EQ(result.code, 0);
     for (const char *cmd : {"collect", "select", "train", "evaluate",
-                            "predict", "probe"}) {
+                            "predict", "probe", "--monitor 1",
+                            "--autopilot 1"}) {
         EXPECT_NE(result.out.find(cmd), std::string::npos) << cmd;
     }
 }
@@ -188,6 +189,19 @@ TEST(Cli, TrainRejectsUnknownType)
               std::string::npos);
 }
 
+/** Train a model on the tiny dataset into a process-unique path. */
+std::string
+trainTinyModel(const std::string &tag, const std::string &type)
+{
+    const std::string path = ::testing::TempDir() + "cli_" + tag +
+                             "_model_" + std::to_string(::getpid()) +
+                             ".txt";
+    const CliResult trained =
+        run({"train", tinyDatasetPath(), "--out", path, "--type", type});
+    EXPECT_EQ(trained.code, 0) << trained.err;
+    return path;
+}
+
 TEST(Cli, MonitorReplayReportsQualityAndWritesTelemetry)
 {
     const std::string model_path =
@@ -203,9 +217,10 @@ TEST(Cli, MonitorReplayReportsQualityAndWritesTelemetry)
     ASSERT_EQ(trained.code, 0) << trained.err;
 
     const CliResult monitored =
-        run({"monitor", "--replay", tinyDatasetPath(), "--model",
-             model_path, "--platform", "Core2", "--telemetry-out",
-             telemetry_path, "--dashboard-every", "100"});
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             model_path, "--platform", "Core2", "--monitor", "1",
+             "--telemetry-out", telemetry_path, "--dashboard-every",
+             "100"});
     ASSERT_EQ(monitored.code, 0) << monitored.err;
     EXPECT_NE(monitored.out.find("monitored"), std::string::npos);
     EXPECT_NE(monitored.out.find("drift events:"), std::string::npos);
@@ -228,8 +243,9 @@ TEST(Cli, MonitorReplayReportsQualityAndWritesTelemetry)
 
 TEST(Cli, MonitorWithoutReplayOrModelFails)
 {
-    EXPECT_EQ(run({"monitor"}).code, 2);
-    EXPECT_EQ(run({"monitor", "--replay", "x.csv"}).code, 2);
+    EXPECT_EQ(run({"serve", "--monitor", "1"}).code, 2);
+    EXPECT_EQ(run({"serve", "--replay", "x.csv", "--monitor", "1"}).code,
+              2);
 }
 
 /**
@@ -249,11 +265,10 @@ TEST(Cli, AutopilotReplayHealsInjectedStuckCounterFault)
     ASSERT_EQ(trained.code, 0) << trained.err;
 
     const std::vector<std::string> common = {
-        "autopilot",     "--replay",  tinyDatasetPath(),
-        "--model",       model_path,  "--warmup",
-        "40",            "--window",  "30",
-        "--min-retrain-samples", "32", "--canary-samples",
-        "16",            "--cooldown", "30"};
+        "serve", "--replay", tinyDatasetPath(), "--model", model_path,
+        "--autopilot", "1", "--warmup", "40", "--window", "30",
+        "--min-retrain-samples", "32", "--canary-samples", "16",
+        "--cooldown", "30"};
 
     CliResult clean = run(common);
     ASSERT_EQ(clean.code, 0) << clean.err;
@@ -291,11 +306,119 @@ TEST(Cli, AutopilotReplayHealsInjectedStuckCounterFault)
 
 TEST(Cli, AutopilotWithoutReplayOrModelFails)
 {
-    EXPECT_EQ(run({"autopilot"}).code, 2);
-    EXPECT_EQ(run({"autopilot", "--replay", "x.csv", "--substitute",
-                   "bogus"})
+    EXPECT_EQ(run({"serve", "--autopilot", "1"}).code, 2);
+    EXPECT_EQ(run({"serve", "--autopilot", "1", "--replay", "x.csv",
+                   "--substitute", "bogus"})
                   .code,
               2);
+}
+
+TEST(Cli, AutopilotRejectsBadSubstituteMode)
+{
+    const std::string model_path = trainTinyModel("substitute", "linear");
+    const CliResult result =
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             model_path, "--autopilot", "1", "--substitute", "bogus"});
+    EXPECT_EQ(result.code, 2);
+    EXPECT_NE(result.err.find("--substitute"), std::string::npos)
+        << result.err;
+    std::remove(model_path.c_str());
+}
+
+/** Replay is lockstep: the same trace prints the same bytes. */
+TEST(Cli, ServeReplayStdoutIsByteIdenticalAcrossRuns)
+{
+    const std::string model_path = trainTinyModel("determinism", "linear");
+    const std::vector<std::string> args = {
+        "serve", "--replay", tinyDatasetPath(), "--model", model_path,
+        "--platform", "Core2", "--monitor", "1", "--autopilot", "1",
+        "--warmup", "40", "--window", "30", "--inject-stuck",
+        "machine0", "--inject-at", "60", "--dashboard-every", "50"};
+    const CliResult first = run(args);
+    ASSERT_EQ(first.code, 0) << first.err;
+    const CliResult second = run(args);
+    ASSERT_EQ(second.code, 0) << second.err;
+    EXPECT_EQ(first.out, second.out);
+    EXPECT_NE(first.out.find("tick 50:"), std::string::npos);
+    std::remove(model_path.c_str());
+}
+
+TEST(Cli, ServeReplayMonitorPrintsQualityTableAndNoDrift)
+{
+    const std::string model_path = trainTinyModel("quality", "linear");
+    const CliResult result =
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             model_path, "--platform", "Core2", "--monitor", "1"});
+    ASSERT_EQ(result.code, 0) << result.err;
+    // The serving summary, then the quality table after it.
+    const std::size_t summary = result.out.find("cluster power:");
+    const std::size_t table = result.out.find(
+        "| Machine  | Quality | rMSE (W) | DRE");
+    ASSERT_NE(summary, std::string::npos) << result.out;
+    ASSERT_NE(table, std::string::npos) << result.out;
+    EXPECT_LT(summary, table);
+    EXPECT_NE(result.out.find("| machine0 |", table), std::string::npos);
+    EXPECT_NE(result.out.find("| machine1 |", table), std::string::npos);
+    // A model replayed over its own training trace does not drift.
+    EXPECT_NE(result.out.find("\ndrift events: 0\n"), std::string::npos)
+        << result.out;
+    EXPECT_EQ(result.out.find("autopilot summary"), std::string::npos);
+    std::remove(model_path.c_str());
+}
+
+TEST(Cli, AutopilotNeedsReplayNotListen)
+{
+    const CliResult result =
+        run({"serve", "--listen", "0", "--autopilot", "1"});
+    EXPECT_EQ(result.code, 2);
+    EXPECT_NE(result.err.find("--autopilot"), std::string::npos)
+        << result.err;
+}
+
+TEST(Cli, MonitorAndAutopilotSubcommandsAreGone)
+{
+    for (const char *command : {"monitor", "autopilot"}) {
+        const CliResult result =
+            run({command, "--replay", tinyDatasetPath()});
+        EXPECT_EQ(result.code, 2) << command;
+        EXPECT_NE(result.err.find("unknown subcommand"),
+                  std::string::npos)
+            << command;
+    }
+}
+
+/**
+ * Malformed numeric flags are user errors: exit 2 with the flag named,
+ * never an uncaught exception, a wrapped negative, or a silently
+ * truncated value.
+ */
+TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
+{
+    const struct
+    {
+        std::vector<std::string> args;
+        const char *flag;
+    } cases[] = {
+        {{"serve", "--listen", "0", "--shards", "abc"}, "--shards"},
+        {{"fleetview", "--synthetic", "-5", "--ticks", "1"},
+         "--synthetic"},
+        {{"fleetview", "--synthetic", "10x", "--ticks", "1"},
+         "--synthetic"},
+        {{"fleetview", "--synthetic", "10", "--ticks", " 1"},
+         "--ticks"},
+        {{"serve", "--listen", "70000"}, "--listen"},
+        {{"collect", "Core2", "--out", "x.csv", "--scale", "fast"},
+         "--scale"},
+        {{"collect", "Core2", "--out", "x.csv", "--machines",
+          "99999999999999999999999"},
+         "--machines"},
+    };
+    for (const auto &c : cases) {
+        const CliResult result = run(c.args);
+        EXPECT_EQ(result.code, 2) << c.flag;
+        EXPECT_NE(result.err.find(c.flag), std::string::npos)
+            << result.err;
+    }
 }
 
 TEST(Cli, FleetviewSyntheticRendersTablesAndRollupExport)
@@ -398,9 +521,9 @@ TEST(Cli, FleetviewTelemetryReplayRendersTheSameDashboard)
              "--type", "linear"});
     ASSERT_EQ(trained.code, 0) << trained.err;
     const CliResult monitored =
-        run({"monitor", "--replay", tinyDatasetPath(), "--model",
-             model_path, "--platform", "Core2", "--telemetry-out",
-             telemetry_path});
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             model_path, "--platform", "Core2", "--monitor", "1",
+             "--telemetry-out", telemetry_path});
     ASSERT_EQ(monitored.code, 0) << monitored.err;
 
     // The offline JSONL path lands in the same tree and renders the

@@ -3,8 +3,8 @@
  * Loopback integration tests for the ingest server: end-to-end
  * accounting (sent == accepted + rejected, accepted == processed),
  * explicit backpressure NACKs with per-connection attribution,
- * corrupt-stream connection drops that leave the server serving, the
- * JSONL fallback framing, and the multi-client soak whose snapshot
+ * corrupt-stream connection drops that leave the server serving, and
+ * the multi-client soak whose snapshot
  * must be bit-identical to an in-process replay of the same samples.
  */
 #include <cerrno>
@@ -304,37 +304,6 @@ TEST(Ingest, CorruptBinaryFrameDropsConnection)
     EXPECT_EQ(stats.samplesAccepted, 1u);
     EXPECT_EQ(stats.badFrames, 1u);
     EXPECT_EQ(stats.connectionsDropped, 1u);
-}
-
-TEST(Ingest, JsonlClientRoundTrips)
-{
-    auto fleet = makeFleet(2);
-    ChaosIngestServer ingest(*fleet);
-    ingest.start();
-    fleet->start();
-
-    IngestClientConfig cfg;
-    cfg.port = ingest.port();
-    cfg.jsonl = true;
-    cfg.window = 16;
-    IngestClient client(cfg);
-    client.connect();
-
-    const std::vector<double> row = catalogRow(25.0, 75.0);
-    for (std::size_t i = 0; i < 120; ++i)
-        client.send(i, "machine" + std::to_string(i % 2), row.data(),
-                    row.size());
-    ASSERT_TRUE(client.drain());
-    EXPECT_EQ(client.accepted(), 120u);
-
-    fleet->waitIdle();
-    ingest.stop();
-    fleet->stop();
-    EXPECT_EQ(fleet->processed(), 120u);
-
-    const IngestStats stats = ingest.stats();
-    ASSERT_EQ(stats.connections.size(), 1u);
-    EXPECT_TRUE(stats.connections[0].jsonl);
 }
 
 TEST(Ingest, MultiClientSoakMatchesInProcessReplayBitwise)
