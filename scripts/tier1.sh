@@ -43,7 +43,8 @@
 # server must return a validated snapshot) chained into a faulted
 # replay that must leave exactly one parseable flight bundle holding
 # the model-drift trigger and preceding spans, and the flight
-# recorder's trigger-storm tests under ASan+UBSan and TSan.
+# recorder's trigger-storm tests under ASan+UBSan and TSan. The LASSO
+# oracle and Algorithm 1 golden-output tests run under ASan+UBSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -356,8 +357,17 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight test_obs
+    test_flight test_obs test_models test_core
 ./build-asan/tests/test_faults
+
+echo
+echo "== tier 1: LASSO + Algorithm 1 tests under ASan+UBSan =="
+# The covariance-form coordinate descent indexes a p x p Gram matrix
+# and a column-major standardized copy of X; the oracle comparison and
+# the golden Algorithm 1 output run here so an out-of-bounds index is
+# fatal instead of silent.
+./build-asan/tests/test_models --gtest_filter='Lasso*:FeatureSelection*'
+./build-asan/tests/test_core --gtest_filter='Lasso*:FeatureSelection*'
 
 echo
 echo "== tier 1: JSON reader corpus + mutation fuzz under ASan+UBSan =="

@@ -11,6 +11,7 @@
 #include "oscounters/counter_catalog.hpp"
 #include "stats/correlation.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/result.hpp"
 
 namespace chaos {
@@ -224,25 +225,51 @@ selectClusterFeatures(const Dataset &data,
     const auto &workload_names = data.workloadNames();
 
     // --- Steps 3-4: per machine and workload, L1 then stepwise. ---
+    // Slices are listed in (machine, workload) order and screened in
+    // parallel; records are appended in list order, so the result is
+    // the same for any thread count.
     obs::Span slice_span("select.per_machine_slices");
-    LassoSolver lasso;
+    struct Slice
+    {
+        int machine = 0;
+        int workload = 0;
+        std::vector<size_t> rows;  ///< Rows of data, in data order.
+    };
+    std::vector<Slice> slices;
     for (int machine : machine_set) {
-        const Dataset machine_data = data.filterMachine(machine);
-        for (const auto &workload : workload_names) {
-            const Dataset slice =
-                machine_data.filterWorkload(workload);
-            if (slice.numRows() < 50)
-                continue;  // Not enough data to screen.
+        for (size_t w = 0; w < workload_names.size(); ++w) {
+            Slice slice{machine, static_cast<int>(w), {}};
+            for (size_t r = 0; r < data.numRows(); ++r) {
+                if (data.machineIds()[r] == machine &&
+                    data.workloadIds()[r] == slice.workload)
+                    slice.rows.push_back(r);
+            }
+            slices.push_back(std::move(slice));
+        }
+    }
 
-            const auto rows = strideRows(slice.numRows(),
-                                         config.maxScreeningRows);
-            const Dataset sub = slice.selectRows(rows);
-            const Matrix x = sub.features().selectColumns(screened);
-            const auto &y = sub.powerW();
-
+    LassoSolver lasso;
+    auto records = parallelMap<PerMachineSelection>(
+        slices.size(), [&](size_t i) {
+            const Slice &slice = slices[i];
             PerMachineSelection record;
-            record.machineId = machine;
-            record.workload = workload;
+            if (slice.rows.size() < 50)
+                return record;  // Not enough data to screen.
+
+            const auto picked =
+                strideRows(slice.rows.size(), config.maxScreeningRows);
+            Matrix x(picked.size(), screened.size());
+            std::vector<double> y(picked.size());
+            for (size_t k = 0; k < picked.size(); ++k) {
+                const size_t r = slice.rows[picked[k]];
+                const double *src = data.features().rowPtr(r);
+                for (size_t c = 0; c < screened.size(); ++c)
+                    x(k, c) = src[screened[c]];
+                y[k] = data.powerW()[r];
+            }
+
+            record.machineId = slice.machine;
+            record.workload = workload_names[slice.workload];
 
             // Step 3: L1 regularization discards the bulk.
             lasso_fits.add();
@@ -250,27 +277,27 @@ selectClusterFeatures(const Dataset &data,
                 x, y, config.lassoMaxSupport);
             const auto support = fit.support();
             if (support.empty())
-                continue;
+                return record;
             for (size_t s : support) {
                 record.lassoSelected.push_back(
                     data.featureNames()[screened[s]]);
             }
 
             // Step 4: Wald stepwise on the L1 survivors.
-            std::vector<size_t> support_cols;
-            for (size_t s : support)
-                support_cols.push_back(s);
-            const Matrix xs = x.selectColumns(support_cols);
+            const Matrix xs = x.selectColumns(support);
             StepwiseConfig sw;
             sw.alpha = config.stepwiseAlpha;
             stepwise_runs.add();
             const StepwiseResult stepped = stepwiseEliminate(xs, y, sw);
             for (size_t k : stepped.keptFeatures) {
                 record.significant.push_back(
-                    data.featureNames()[screened[support_cols[k]]]);
+                    data.featureNames()[screened[support[k]]]);
             }
+            return record;
+        });
+    for (PerMachineSelection &record : records) {
+        if (!record.lassoSelected.empty())
             result.perMachine.push_back(std::move(record));
-        }
     }
     slice_span.end();
     panicIf(result.perMachine.empty(),

@@ -95,7 +95,10 @@ struct FeatureSelectionResult
  *
  * @param data Cluster dataset in catalog feature space.
  * @param config Algorithm knobs.
- * @param rng Used only for row subsampling in the screening steps.
+ * @param rng Unused: every subsample in Algorithm 1 is a
+ *        deterministic uniform stride over rows, so the result
+ *        depends on @p data and @p config alone. Kept so existing
+ *        callers compile unchanged.
  */
 FeatureSelectionResult selectClusterFeatures(
     const Dataset &data, const FeatureSelectionConfig &config,
@@ -104,6 +107,10 @@ FeatureSelectionResult selectClusterFeatures(
 /**
  * Steps 1-2 only: screening survivors (indices into data's feature
  * space). Exposed separately for tests and diagnostics.
+ *
+ * @param rng Unused, as in selectClusterFeatures(): the correlation
+ *        matrix is built on a deterministic row stride.
+ * @param funnel If non-null, receives the funnel sizes.
  */
 std::vector<size_t> screenCounters(const Dataset &data,
                                    const FeatureSelectionConfig &config,

@@ -26,7 +26,11 @@ struct LassoFit
     std::vector<size_t> support(double tol = 1e-10) const;
 };
 
-/** Cyclic coordinate-descent LASSO solver. */
+/**
+ * Cyclic coordinate-descent LASSO solver in covariance form: the
+ * problem is standardized once and reduced to G = Z'Z/n and Z'y, so
+ * each coordinate update costs O(p), independent of the row count.
+ */
 class LassoSolver
 {
   public:

@@ -151,5 +151,35 @@ TEST(ParallelDeterminism, SweepIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(ParallelDeterminism, FeatureSelectionIdenticalAcrossThreadCounts)
+{
+    ThreadCountGuard guard;
+    const auto &campaign = core2Campaign();
+    const auto config = quickCampaignConfig().featureSelection;
+
+    setGlobalThreadCount(1);
+    Rng rng_serial(1);
+    const FeatureSelectionResult serial =
+        selectClusterFeatures(campaign.data, config, rng_serial);
+    setGlobalThreadCount(8);
+    Rng rng_parallel(1);
+    const FeatureSelectionResult parallel =
+        selectClusterFeatures(campaign.data, config, rng_parallel);
+
+    EXPECT_EQ(serial.selected, parallel.selected);
+    EXPECT_EQ(serial.histogram, parallel.histogram);
+    EXPECT_EQ(serial.finalThreshold, parallel.finalThreshold);
+    ASSERT_EQ(serial.perMachine.size(), parallel.perMachine.size());
+    for (size_t i = 0; i < serial.perMachine.size(); ++i) {
+        const auto &a = serial.perMachine[i];
+        const auto &b = parallel.perMachine[i];
+        EXPECT_EQ(a.machineId, b.machineId);
+        EXPECT_EQ(a.workload, b.workload);
+        EXPECT_EQ(a.lassoSelected, b.lassoSelected);
+        EXPECT_EQ(a.significant, b.significant);
+    }
+    EXPECT_EQ(serial.afterCoDependency, parallel.afterCoDependency);
+}
+
 } // namespace
 } // namespace chaos
