@@ -44,7 +44,8 @@
 # replay that must leave exactly one parseable flight bundle holding
 # the model-drift trigger and preceding spans, and the flight
 # recorder's trigger-storm tests under ASan+UBSan and TSan. The LASSO
-# oracle and Algorithm 1 golden-output tests run under ASan+UBSan.
+# oracle and Algorithm 1 golden-output tests run under ASan+UBSan, and
+# so do the fleet server's drain-pass and snapshot-ring tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -357,7 +358,7 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight test_obs test_models test_core
+    test_flight test_obs test_models test_core test_serve
 ./build-asan/tests/test_faults
 
 echo
@@ -368,6 +369,13 @@ echo "== tier 1: LASSO + Algorithm 1 tests under ASan+UBSan =="
 # fatal instead of silent.
 ./build-asan/tests/test_models --gtest_filter='Lasso*:FeatureSelection*'
 ./build-asan/tests/test_core --gtest_filter='Lasso*:FeatureSelection*'
+
+echo
+echo "== tier 1: fleet drain + snapshot ring tests under ASan+UBSan =="
+# One drain pass indexes a single batch popped across every shard, and
+# snapshot callbacks hold references into snapshots the bounded ring
+# owns; an out-of-bounds index or a use-after-evict is fatal here.
+./build-asan/tests/test_serve --gtest_filter='FleetServer*:*Registry*'
 
 echo
 echo "== tier 1: JSON reader corpus + mutation fuzz under ASan+UBSan =="

@@ -948,6 +948,21 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         withInjectedFaults(args, recording));
     Pipeline pipeline(args, replayer.machineIds(), &recording, false);
     const serve::FleetServer &server = pipeline.server;
+
+    // Periodic snapshots stream to --snapshots-out as they are
+    // emitted: the server itself keeps only the latest few.
+    const std::string snapshotsOut = args.flagOr("snapshots-out", "");
+    std::ofstream snapshotsFile;
+    std::size_t snapshotsWritten = 0;
+    if (!snapshotsOut.empty()) {
+        snapshotsFile.open(snapshotsOut);
+        raiseIf(!snapshotsFile, "cannot write " + snapshotsOut);
+        snapshotsFile << "[\n";
+        pipeline.server.onSnapshot([&](const serve::FleetSnapshot &snap) {
+            snapshotsFile << "  " << snap.toJson() << ",\n";
+            ++snapshotsWritten;
+        });
+    }
     const serve::ReplayStats stats =
         replayLockstep(pipeline, replayer, out);
 
@@ -997,15 +1012,12 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             << "\n";
     }
 
-    const std::string snapshotsOut = args.flagOr("snapshots-out", "");
     if (!snapshotsOut.empty()) {
-        std::string json = "[\n";
-        for (const serve::FleetSnapshot &snap : server.snapshots())
-            json += "  " + snap.toJson() + ",\n";
-        json += "  " + final_snapshot.toJson() + "\n]\n";
-        writeTextFile(snapshotsOut, json);
-        out << "wrote " << server.snapshots().size() + 1
-            << " snapshots to " << snapshotsOut << "\n";
+        snapshotsFile << "  " << final_snapshot.toJson() << "\n]\n";
+        snapshotsFile.flush();
+        raiseIf(!snapshotsFile.good(), "failed writing " + snapshotsOut);
+        out << "wrote " << snapshotsWritten + 1 << " snapshots to "
+            << snapshotsOut << "\n";
     }
     pipeline.finish(out);
     return 0;

@@ -211,6 +211,10 @@ EstimatorRegistry::add(const std::string &machineId,
         shard.entries.try_emplace(machineId, std::move(entry));
     raiseIf(!inserted,
             "registry: duplicate machine id '" + machineId + "'");
+    std::lock_guard<std::mutex> orderLock(orderMu);
+    byIdSorted = byIdSorted && (byId.empty() ||
+                                byId.back()->id() < machineId);
+    byId.push_back(it->second.get());
     return *it->second;
 }
 
@@ -245,41 +249,31 @@ EstimatorRegistry::swapModel(const std::string &machineId,
 std::size_t
 EstimatorRegistry::size() const
 {
-    std::size_t total = 0;
-    for (const Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        total += shard.entries.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(orderMu);
+    return byId.size();
 }
 
 std::vector<std::string>
 EstimatorRegistry::ids() const
 {
     std::vector<std::string> out;
-    for (const Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[id, entry] : shard.entries)
-            out.push_back(id);
-    }
-    std::sort(out.begin(), out.end());
+    for (const MachineEntry *entry : entriesById())
+        out.push_back(entry->id());
     return out;
 }
 
 std::vector<MachineEntry *>
-EstimatorRegistry::entriesById()
+EstimatorRegistry::entriesById() const
 {
-    std::vector<MachineEntry *> out;
-    for (Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (auto &[id, entry] : shard.entries)
-            out.push_back(entry.get());
+    std::lock_guard<std::mutex> lock(orderMu);
+    if (!byIdSorted) {
+        std::sort(byId.begin(), byId.end(),
+                  [](const MachineEntry *a, const MachineEntry *b) {
+                      return a->id() < b->id();
+                  });
+        byIdSorted = true;
     }
-    std::sort(out.begin(), out.end(),
-              [](const MachineEntry *a, const MachineEntry *b) {
-                  return a->id() < b->id();
-              });
-    return out;
+    return byId;
 }
 
 } // namespace chaos::serve

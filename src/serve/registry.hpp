@@ -273,8 +273,9 @@ class EstimatorRegistry
     /**
      * All entries, ordered by machine id (deterministic snapshot
      * order). Entry pointers stay valid for the registry's lifetime.
+     * The order is kept between calls and re-sorted only after add().
      */
-    std::vector<MachineEntry *> entriesById();
+    std::vector<MachineEntry *> entriesById() const;
 
     /** @return The stripe count. */
     std::size_t numShards() const { return shards.size(); }
@@ -291,6 +292,11 @@ class EstimatorRegistry
     };
 
     std::vector<Shard> shards;
+
+    /** Every entry, id-sorted unless an add() since the last sort. */
+    mutable std::mutex orderMu;
+    mutable std::vector<MachineEntry *> byId;
+    mutable bool byIdSorted = true;
 };
 
 } // namespace chaos::serve

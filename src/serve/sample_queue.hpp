@@ -11,18 +11,26 @@
  * is counted so backpressure is observable, never silent.
  *
  * Row buffers are owned by the queue and recycled, never freed on the
- * hot path: push() copies counter values into the slot's existing
- * vector (which keeps its capacity across reuses), and popBatch()
- * *swaps* slot buffers with the consumer's recycled batch buffers
- * rather than moving ownership out. After warmup, steady-state
- * ingestion and draining perform zero heap allocation — the malloc/
- * free-per-sample churn that used to dominate the drain path (one
- * free per evaluated row) is gone entirely.
+ * hot path: popBatch() *swaps* slot buffers with the consumer's
+ * recycled batch buffers rather than moving ownership out, and the
+ * batch buffers it gets back go onto a LIFO spare stack; push()
+ * copies counter values into the top spare, i.e. the buffer the
+ * consumer returned last. After warmup, steady-state ingestion and
+ * draining perform zero heap allocation — the malloc/free-per-sample
+ * churn that used to dominate the drain path (one free per evaluated
+ * row) is gone entirely.
+ *
+ * The stack, not the ring, decides which buffer a push writes: a
+ * drained ring slot is reused only after the ring wraps, by when a
+ * buffer parked in it is cold and copying a wide counter row into it
+ * costs a cache miss per line. Off the stack, the buffer a push
+ * writes is one the consumer released moments ago, still in cache.
  */
 #ifndef CHAOS_SERVE_SAMPLE_QUEUE_HPP
 #define CHAOS_SERVE_SAMPLE_QUEUE_HPP
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <mutex>
@@ -55,24 +63,27 @@ struct QueuedSample
 /**
  * Mutex-protected bounded FIFO of QueuedSamples (MPSC: any number of
  * producers, one draining consumer). Storage is a preallocated ring
- * of capacity slots whose row buffers are recycled (values copied in,
- * buffers swapped out), so steady-state pushing and popping never
- * touch the allocator. All operations are O(1) apart from popBatch,
- * which is linear in the batch it returns.
+ * of capacity slots plus a fixed spare stack; the row buffers are
+ * recycled (values copied into the latest spare, buffers swapped
+ * out), so steady-state pushing and popping never touch the
+ * allocator. All operations are O(1) apart
+ * from popBatch, which is linear in the batch it returns.
  */
 class BoundedSampleQueue
 {
   public:
     /** @param capacity Maximum retained samples; at least 1. */
     explicit BoundedSampleQueue(std::size_t capacity)
-        : slots(capacity == 0 ? 1 : capacity)
+        : slots(capacity == 0 ? 1 : capacity),
+          spare(std::min(slots.size(), kMaxSpares))
     {}
 
     /**
      * Enqueue one sample by value: the counter row is *copied* into
-     * the slot's recycled buffer (no allocation once the slot has
-     * seen a row at least as wide). When the queue is full the
-     * *oldest* sample is discarded to make room (drop-oldest policy).
+     * the most recently returned spare buffer (no allocation once
+     * that buffer has seen a row at least as wide). When the queue is
+     * full the *oldest* sample is discarded to make room (drop-oldest
+     * policy).
      *
      * @return The registry entry of the machine whose sample was
      *         dropped by this push, or nullptr when nothing was
@@ -91,9 +102,11 @@ class BoundedSampleQueue
             head = next(head);
             --count;
         }
-        // assign() reuses the evicted/stale occupant's capacity; the
-        // producer keeps (and can reuse) its own row storage.
+        // assign() reuses the evicted occupant's capacity or the top
+        // spare's; the producer keeps (and can reuse) its own row
+        // storage.
         QueuedSample &slot = slots[(head + count) % slots.size()];
+        takeSpare(slot);
         slot.entry = entry;
         slot.catalogRow.assign(row, row + rowSize);
         slot.meteredW = meteredW;
@@ -119,6 +132,7 @@ class BoundedSampleQueue
         if (count == slots.size())
             return false;
         QueuedSample &slot = slots[(head + count) % slots.size()];
+        takeSpare(slot);
         slot.entry = entry;
         slot.catalogRow.assign(row, row + rowSize);
         slot.meteredW = meteredW;
@@ -130,7 +144,7 @@ class BoundedSampleQueue
     /**
      * Transfer up to @p maxItems samples into @p out, oldest first.
      * Row buffers are *swapped*, not moved: each out element's
-     * previous buffer goes back into the ring for reuse, so a caller
+     * previous buffer goes onto the spare stack for reuse, so a caller
      * draining with the same scratch array reaches a steady state
      * where no allocation happens at all. Elements of @p out past the
      * returned count are untouched.
@@ -150,6 +164,10 @@ class BoundedSampleQueue
             out[moved].meteredW = slot.meteredW;
             out[moved].ingestNs = slot.ingestNs;
             std::swap(out[moved].catalogRow, slot.catalogRow);
+            // A full stack leaves the buffer parked in the slot.
+            if (slot.catalogRow.capacity() != 0 &&
+                spareTop < spare.size())
+                spare[spareTop++].swap(slot.catalogRow);
             head = next(head);
             --count;
             ++moved;
@@ -172,6 +190,19 @@ class BoundedSampleQueue
     std::size_t capacity() const { return slots.size(); }
 
   private:
+    /**
+     * Give the free @p slot the top spare buffer, unless it still
+     * holds one (a drop-oldest overwrite reuses the evicted row's, and
+     * a slot drained while the stack was full kept its own).
+     */
+    void
+    takeSpare(QueuedSample &slot)
+    {
+        if (slot.catalogRow.capacity() != 0 || spareTop == 0)
+            return;
+        slot.catalogRow.swap(spare[--spareTop]);
+    }
+
     /** The ring position after @p pos. */
     std::size_t
     next(std::size_t pos) const
@@ -183,6 +214,15 @@ class BoundedSampleQueue
     std::vector<QueuedSample> slots; ///< Preallocated ring storage.
     std::size_t head = 0;            ///< Oldest queued sample.
     std::size_t count = 0;           ///< Samples currently queued.
+    /**
+     * Stack depth: a default-sized drain pass. Fixed at construction,
+     * so popBatch never grows (and moves) it; a burst deeper than
+     * this leaves the rest of its buffers in their drained slots.
+     */
+    static constexpr std::size_t kMaxSpares = 1024;
+    /** Buffers the consumer returned; spare[spareTop - 1] is the latest. */
+    std::vector<std::vector<double>> spare;
+    std::size_t spareTop = 0;
 };
 
 } // namespace chaos::serve

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/events.hpp"
 #include "obs/flight.hpp"
@@ -170,14 +169,7 @@ FleetServer::submit(const std::string &machineId,
     MachineEntry *entry = registry.find(machineId);
     raiseIf(entry == nullptr,
             "serve: unknown machine id '" + machineId + "'");
-    enqueue(*entry, catalogRow, rowSize, meteredW);
-}
-
-void
-FleetServer::submitTo(MachineEntry &entry, const double *catalogRow,
-                      std::size_t rowSize, double meteredW)
-{
-    enqueue(entry, catalogRow, rowSize, meteredW);
+    submitTo(*entry, catalogRow, rowSize, meteredW);
 }
 
 bool
@@ -202,8 +194,8 @@ FleetServer::offer(MachineEntry &entry, const double *catalogRow,
 }
 
 void
-FleetServer::enqueue(MachineEntry &entry, const double *catalogRow,
-                     std::size_t rowSize, double meteredW)
+FleetServer::submitTo(MachineEntry &entry, const double *catalogRow,
+                      std::size_t rowSize, double meteredW)
 {
     QueueShard &shard = *queueShards[registry.shardOf(entry.id())];
     // Count the submission before the push: waitIdle() can then rely
@@ -229,24 +221,53 @@ FleetServer::enqueue(MachineEntry &entry, const double *catalogRow,
 }
 
 std::size_t
-FleetServer::drainShard(QueueShard &shard, std::size_t budget)
+FleetServer::drainOnce()
 {
+    std::lock_guard<std::mutex> drainLock(drainMu);
+    obs::Span span("serve.drain");
+    const auto start = std::chrono::steady_clock::now();
     DrainScratch &ds = scratch;
     // The batch array is sized once and its row buffers circulate
     // with the shard queues' slots (popBatch swaps buffers), so a
     // steady-state pass never touches the allocator.
-    if (ds.batch.size() < budget)
-        ds.batch.resize(budget);
-    // Stage clocks are read per batch, not per sample: the dequeue
+    if (ds.batch.size() < cfg.maxBatch)
+        ds.batch.resize(cfg.maxBatch);
+    // Stage clocks are read per pass, not per sample: the dequeue
     // time below stands in for every sample's pickup, and the pass
     // end for every sample's completion.
     const bool stageOn = stageTracingEnabled();
     const std::uint64_t popNs = stageOn ? obs::traceNowNs() : 0;
-    const std::size_t n = shard.queue.popBatch(ds.batch.data(), budget);
-    if (n == 0) {
-        shard.saturated.store(false);
-        return 0;
+
+    // Latency-oriented scheduling: one pass pops at most
+    // cfg.maxBatch samples in total into one batch, visiting shards
+    // round-robin from a rotating cursor. The pass latency is
+    // bounded by the batch budget; a backlogged shard hands the
+    // cursor to its neighbour, so no shard is starved.
+    std::size_t n = 0;
+    const std::size_t numShards = queueShards.size();
+    for (std::size_t k = 0; k < numShards && n < cfg.maxBatch; ++k) {
+        const std::size_t s = (drainCursor + k) % numShards;
+        QueueShard &shard = *queueShards[s];
+        const std::size_t budget = cfg.maxBatch - n;
+        const std::size_t popped =
+            shard.queue.popBatch(ds.batch.data() + n, budget);
+        // A short pop emptied the shard: re-arm backpressure.
+        if (popped < budget)
+            shard.saturated.store(false);
+        n += popped;
+        if (n >= cfg.maxBatch) {
+            // Budget exhausted at shard s: resume at the next shard
+            // so a backlogged shard cannot starve the others.
+            drainCursor = (s + 1) % numShards;
+        }
     }
+    std::size_t depth = 0;
+    for (const auto &shard : queueShards)
+        depth += shard->queue.size();
+    ServeMetrics::get().queueDepth.set(
+        static_cast<std::int64_t>(depth));
+    if (n == 0)
+        return 0;
     // Queue wait is measured against the post-pop clock so samples
     // stamped while the pop was in flight still count (popNs alone
     // would race with concurrent producers and skip them).
@@ -256,9 +277,9 @@ FleetServer::drainShard(QueueShard &shard, std::size_t budget)
     // ids in first-appearance order, size the per-group slices, then
     // scatter sample indices (and their in-place views of the queued
     // counter rows) into contiguous slices of ds.order/ds.views.
-    // Machines evaluate in parallel over disjoint slices; each
-    // machine's samples stay serial and in arrival order (the
-    // estimator is stateful).
+    // Each machine's samples stay serial and in arrival order (the
+    // estimator is stateful); a machine lives on one shard, so the
+    // batch holds them in queue order.
     ds.groupEntries.clear();
     ds.groupIndex.clear();
     ds.sampleGroup.resize(n);
@@ -292,49 +313,51 @@ FleetServer::drainShard(QueueShard &shard, std::size_t budget)
     const std::uint64_t predictStartNs =
         stageOn ? obs::traceNowNs() : 0;
     {
-        obs::Span span("serve.predict");
+        obs::Span predictSpan("serve.predict");
         SampleObserver *observer =
             observerPtr.load(std::memory_order_acquire);
-        parallelFor(numGroups, [&](std::size_t g) {
+        const auto evaluate = [&](std::size_t g) {
             MachineEntry *entry = ds.groupEntries[g];
-            const std::size_t start = ds.groupOffset[g];
-            const std::size_t count = ds.groupOffset[g + 1] - start;
-            entry->withEstimator(
-                [&](OnlinePowerEstimator &estimator) {
-                    // The whole group evaluates in one batched call:
-                    // one compiled-plan pass over the packed rows,
-                    // bit-identical to the serial scalar path.
-                    estimator.estimateBatch(ds.views.data() + start,
-                                            count,
-                                            ds.watts.data() + start);
-                    // One flag read per group: the quarantine /
-                    // shadow / reference-window hook and the monitor
-                    // observer cost nothing when disengaged; when
-                    // active they consume the batch output.
-                    const bool aux = entry->auxActiveLocked();
-                    if (!aux && observer == nullptr)
-                        return;
-                    for (std::size_t k = start; k < start + count;
-                         ++k) {
-                        const QueuedSample &sample =
-                            ds.batch[ds.order[k]];
-                        if (aux) {
-                            entry->recordSampleLocked(
-                                sample.catalogRow, ds.watts[k],
-                                sample.meteredW);
-                        }
-                        if (observer != nullptr) {
-                            observer->onSample(*entry, estimator,
-                                               ds.watts[k],
-                                               sample.meteredW);
-                        }
+            const std::size_t first = ds.groupOffset[g];
+            const std::size_t count = ds.groupOffset[g + 1] - first;
+            entry->withEstimator([&](OnlinePowerEstimator &estimator) {
+                // The whole group evaluates in one batched call: one
+                // compiled-plan pass over the packed rows,
+                // bit-identical to the serial scalar path.
+                estimator.estimateBatch(ds.views.data() + first, count,
+                                        ds.watts.data() + first);
+                // One flag read per group: the quarantine / shadow /
+                // reference-window hook and the monitor observer cost
+                // nothing when disengaged; when active they consume
+                // the batch output.
+                const bool aux = entry->auxActiveLocked();
+                if (!aux && observer == nullptr)
+                    return;
+                for (std::size_t k = first; k < first + count; ++k) {
+                    const QueuedSample &sample = ds.batch[ds.order[k]];
+                    if (aux) {
+                        entry->recordSampleLocked(sample.catalogRow,
+                                                  ds.watts[k],
+                                                  sample.meteredW);
                     }
-                });
-        });
+                    if (observer != nullptr) {
+                        observer->onSample(*entry, estimator,
+                                           ds.watts[k],
+                                           sample.meteredW);
+                    }
+                }
+            });
+        };
+        // Waking the pool costs more than a short pass saves: fan
+        // machines out only when the pass filled its budget, i.e.
+        // when the drainer is falling behind.
+        if (n == cfg.maxBatch) {
+            parallelFor(numGroups, evaluate);
+        } else {
+            for (std::size_t g = 0; g < numGroups; ++g)
+                evaluate(g);
+        }
     }
-
-    if (shard.queue.empty())
-        shard.saturated.store(false);
     processedCount.fetch_add(n);
     ServeMetrics::get().processed.add(n);
 
@@ -345,11 +368,11 @@ FleetServer::drainShard(QueueShard &shard, std::size_t budget)
             static_cast<double>(endNs - popNs) / 1000.0);
         stage.predictUs.observe(
             static_cast<double>(endNs - predictStartNs) / 1000.0);
-        // Per-sample waits accumulate in shard-local scratch and
+        // Per-sample waits accumulate in pass-local scratch and
         // flush with one bulk observe per histogram: per-sample
         // contended atomic adds were the bulk of the tracing
         // overhead on the batched drain path. e2e reuses the same
-        // array — it differs from queue wait only by the per-batch
+        // array — it differs from queue wait only by the per-pass
         // constant endNs - popDoneNs.
         ds.waitUs.clear();
         for (std::size_t i = 0; i < n; ++i) {
@@ -368,76 +391,40 @@ FleetServer::drainShard(QueueShard &shard, std::size_t budget)
             ds.waitUs.data(), ds.waitUs.size(),
             static_cast<double>(endNs - popDoneNs) / 1000.0);
     }
+
+    ServeMetrics::get().batches.add();
+    ServeMetrics::get().batchSize.observe(static_cast<double>(n));
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ServeMetrics::get().drainLatencyMs.observe(ms);
+    if (cfg.recordDrainLatencies) {
+        std::lock_guard<std::mutex> lock(latencyMu);
+        drainMs.push_back(ms);
+    }
+    // Black-box feed: one span per pass, and a processed-count delta
+    // every 64th pass so bundles show recent throughput. One relaxed
+    // load when the recorder is disarmed.
+    auto &flight = obs::FlightRecorder::instance();
+    if (flight.enabled()) {
+        flight.recordSpan("serve", "serve.drain",
+                          static_cast<std::uint64_t>(ms * 1e6));
+        if (++flightPasses % 64 == 0) {
+            const std::uint64_t now = processedCount.load();
+            flight.recordMetricDelta(
+                "serve", "chaos.serve.processed",
+                static_cast<double>(now - flightLastProcessed));
+            flightLastProcessed = now;
+        }
+    }
+    if (cfg.snapshotEverySamples > 0) {
+        sinceSnapshot += n;
+        while (sinceSnapshot >= cfg.snapshotEverySamples) {
+            sinceSnapshot -= cfg.snapshotEverySamples;
+            emitPeriodicSnapshot();
+        }
+    }
     return n;
-}
-
-std::size_t
-FleetServer::drainOnce()
-{
-    std::lock_guard<std::mutex> drainLock(drainMu);
-    obs::Span span("serve.drain");
-    const auto start = std::chrono::steady_clock::now();
-
-    // Latency-oriented scheduling: one pass drains at most
-    // cfg.maxBatch samples in total, visiting shards round-robin
-    // from a rotating cursor. The pass latency is bounded by the
-    // batch budget; a backlogged shard hands the cursor to its
-    // neighbour, so no shard is starved.
-    std::size_t total = 0;
-    const std::size_t numShards = queueShards.size();
-    std::size_t depth = 0;
-    for (std::size_t k = 0; k < numShards && total < cfg.maxBatch;
-         ++k) {
-        const std::size_t s = (drainCursor + k) % numShards;
-        total += drainShard(*queueShards[s], cfg.maxBatch - total);
-        if (total >= cfg.maxBatch) {
-            // Budget exhausted at shard s: resume at the next shard
-            // so a backlogged shard cannot starve the others.
-            drainCursor = (s + 1) % numShards;
-        }
-    }
-    for (const auto &shard : queueShards)
-        depth += shard->queue.size();
-    ServeMetrics::get().queueDepth.set(
-        static_cast<std::int64_t>(depth));
-
-    if (total > 0) {
-        ServeMetrics::get().batches.add();
-        ServeMetrics::get().batchSize.observe(
-            static_cast<double>(total));
-        const auto stop = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count();
-        ServeMetrics::get().drainLatencyMs.observe(ms);
-        if (cfg.recordDrainLatencies) {
-            std::lock_guard<std::mutex> lock(latencyMu);
-            drainMs.push_back(ms);
-        }
-        // Black-box feed: one span per pass, and a processed-count
-        // delta every 64th pass so bundles show recent throughput.
-        // One relaxed load when the recorder is disarmed.
-        auto &flight = obs::FlightRecorder::instance();
-        if (flight.enabled()) {
-            flight.recordSpan("serve", "serve.drain",
-                              static_cast<std::uint64_t>(ms * 1e6));
-            if (++flightPasses % 64 == 0) {
-                const std::uint64_t now = processedCount.load();
-                flight.recordMetricDelta(
-                    "serve", "chaos.serve.processed",
-                    static_cast<double>(now - flightLastProcessed));
-                flightLastProcessed = now;
-            }
-        }
-        if (cfg.snapshotEverySamples > 0) {
-            sinceSnapshot += total;
-            while (sinceSnapshot >= cfg.snapshotEverySamples) {
-                sinceSnapshot -= cfg.snapshotEverySamples;
-                emitPeriodicSnapshot();
-            }
-        }
-    }
-    return total;
 }
 
 void
@@ -493,7 +480,7 @@ FleetServer::waitIdle() const
 }
 
 FleetSnapshot
-FleetServer::buildSnapshot() const
+FleetServer::snapshot() const
 {
     obs::Span span("serve.snapshot");
     FleetSnapshot snap;
@@ -502,7 +489,9 @@ FleetServer::buildSnapshot() const
     snap.samplesSubmitted = submittedCount.load();
     snap.samplesProcessed = processedCount.load();
     snap.samplesDropped = droppedCount.load();
-    for (MachineEntry *entry : registry.entriesById()) {
+    const std::vector<MachineEntry *> entries = registry.entriesById();
+    snap.machines.reserve(entries.size());
+    for (MachineEntry *entry : entries) {
         MachineSnapshot m;
         m.id = entry->id();
         entry->withEstimator([&](OnlinePowerEstimator &estimator) {
@@ -534,25 +523,26 @@ FleetServer::buildSnapshot() const
     return snap;
 }
 
-FleetSnapshot
-FleetServer::snapshot() const
-{
-    return buildSnapshot();
-}
-
 void
 FleetServer::emitPeriodicSnapshot()
 {
-    FleetSnapshot snap = buildSnapshot();
+    const auto snap =
+        std::make_shared<const FleetSnapshot>(snapshot());
     ServeMetrics::get().snapshots.add();
+    std::shared_ptr<const FleetSnapshot> evicted;
     std::function<void(const FleetSnapshot &)> callback;
     {
         std::lock_guard<std::mutex> lock(snapMu);
         periodicSnapshots.push_back(snap);
+        if (periodicSnapshots.size() > kRetainedSnapshots) {
+            // Freed after the lock, so readers never wait on it.
+            evicted = std::move(periodicSnapshots.front());
+            periodicSnapshots.pop_front();
+        }
         callback = snapshotCallback;
     }
     if (callback)
-        callback(snap);
+        callback(*snap);
 }
 
 void
@@ -563,11 +553,11 @@ FleetServer::onSnapshot(
     snapshotCallback = std::move(fn);
 }
 
-std::vector<FleetSnapshot>
+std::vector<std::shared_ptr<const FleetSnapshot>>
 FleetServer::snapshots() const
 {
     std::lock_guard<std::mutex> lock(snapMu);
-    return periodicSnapshots;
+    return {periodicSnapshots.begin(), periodicSnapshots.end()};
 }
 
 std::vector<double>

@@ -10,16 +10,16 @@
  *                           recycled row buffers, drop-oldest,
  *                           chaos.serve.* drop metrics)
  *   drainer thread ──drain pass──> up to maxBatch samples total,
- *                           shards visited round-robin from a
- *                           rotating cursor, batch grouped by
- *                           machine, machines evaluated in parallel
- *                           through the util/parallel thread pool —
- *                           each machine's group in one batched
- *                           estimateBatch call (compiled plans, no
- *                           per-row virtual dispatch), serial and in
- *                           arrival order within the machine
+ *                           popped round-robin from every shard into
+ *                           one batch, grouped by machine; each group
+ *                           is one batched estimateBatch call, serial
+ *                           and in arrival order within the machine.
+ *                           Groups run serially on the drainer; only
+ *                           a pass that filled maxBatch fans them out
+ *                           through the util/parallel thread pool
  *   snapshots ──────> periodic fleet-power snapshots: per-machine
- *                           watts, cluster sum, health mix — as JSON
+ *                           watts, cluster sum, health mix — as JSON;
+ *                           the latest ones kept in a shared ring
  *
  * Invariants:
  *  - a sample is evaluated exactly once (never duplicated) or counted
@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -60,7 +61,9 @@ struct FleetServerConfig
      * the whole pass (rather than each shard) keeps drain latency
      * proportional to the budget instead of budget x shard count;
      * shards are visited round-robin from a rotating start so a
-     * saturated shard cannot starve the others.
+     * saturated shard cannot starve the others. A pass that fills
+     * the budget evaluates its machines on the thread pool; a
+     * shorter one runs them serially on the draining thread.
      */
     std::size_t maxBatch = 1024;
     /**
@@ -285,12 +288,21 @@ class FleetServer
 
     /**
      * Callback invoked (from the drainer thread) for every periodic
-     * snapshot. Set before start(); not thread-safe afterwards.
+     * snapshot, with the snapshot the ring stores (valid for the
+     * call; copy what must outlive it). Set before start(); not
+     * thread-safe afterwards.
      */
     void onSnapshot(std::function<void(const FleetSnapshot &)> fn);
 
-    /** Periodic snapshots taken so far. */
-    std::vector<FleetSnapshot> snapshots() const;
+    /** Periodic snapshots the server retains (the latest ones). */
+    static constexpr std::size_t kRetainedSnapshots = 16;
+
+    /**
+     * The latest (at most kRetainedSnapshots) periodic snapshots,
+     * oldest first. Shared, not copied: an entry stays valid after
+     * the ring drops it.
+     */
+    std::vector<std::shared_ptr<const FleetSnapshot>> snapshots() const;
 
     /** Per-pass drain latencies (recordDrainLatencies only), ms. */
     std::vector<double> drainLatenciesMs() const;
@@ -337,14 +349,10 @@ class FleetServer
     };
 
     void drainerLoop();
-    std::size_t drainShard(QueueShard &shard, std::size_t budget);
-    void enqueue(MachineEntry &entry, const double *catalogRow,
-                 std::size_t rowSize, double meteredW);
-    FleetSnapshot buildSnapshot() const;
     void emitPeriodicSnapshot();
 
     FleetServerConfig cfg;
-    mutable EstimatorRegistry registry;
+    EstimatorRegistry registry;
     std::vector<std::unique_ptr<QueueShard>> queueShards;
 
     /** Serializes drain passes (MPSC: one consumer at a time) and
@@ -376,7 +384,7 @@ class FleetServer
     std::uint64_t flightLastProcessed = 0;
 
     mutable std::mutex snapMu;
-    std::vector<FleetSnapshot> periodicSnapshots;
+    std::deque<std::shared_ptr<const FleetSnapshot>> periodicSnapshots;
     std::function<void(const FleetSnapshot &)> snapshotCallback;
 
     mutable std::mutex latencyMu;

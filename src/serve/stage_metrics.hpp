@@ -10,7 +10,8 @@
  *
  *   decode_us      wire bytes -> decoded frame (network ingest only)
  *   queue_wait_us  ingest stamp -> popBatch picked the sample up
- *   drain_batch_us one shard drain pass (pop + group + predict + aux)
+ *   drain_batch_us one drain pass over every shard (pop + group +
+ *                  predict + aux)
  *   predict_us     the batched estimator call for one drain pass
  *   e2e_us         ingest stamp -> estimate produced (true end-to-end)
  *

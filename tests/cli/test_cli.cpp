@@ -14,6 +14,7 @@
 
 #include "cli/cli.hpp"
 #include "obs/json.hpp"
+#include "serve/server.hpp"
 
 namespace chaos {
 namespace {
@@ -364,6 +365,51 @@ TEST(Cli, ServeReplayMonitorPrintsQualityTableAndNoDrift)
         << result.out;
     EXPECT_EQ(result.out.find("autopilot summary"), std::string::npos);
     std::remove(model_path.c_str());
+}
+
+/**
+ * --snapshots-out holds every periodic snapshot, not just the ones
+ * the server's bounded ring still retains at exit, then the final one.
+ */
+TEST(Cli, ServeReplaySnapshotsOutKeepsEveryPeriodicSnapshot)
+{
+    const std::string model_path = trainTinyModel("snapshots", "linear");
+    const std::string snaps_path = ::testing::TempDir() +
+                                   "cli_snapshots_" +
+                                   std::to_string(::getpid()) + ".json";
+    const std::size_t every = 4;
+    const CliResult result =
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             model_path, "--platform", "Core2", "--snapshot-every",
+             std::to_string(every), "--snapshots-out", snaps_path});
+    ASSERT_EQ(result.code, 0) << result.err;
+
+    std::ifstream file(snaps_path);
+    std::stringstream text;
+    text << file.rdbuf();
+    const std::string json = text.str();
+    ASSERT_EQ(json.rfind("[\n  {", 0), 0u);
+    ASSERT_GE(json.size(), 4u);
+    EXPECT_EQ(json.substr(json.size() - 4), "}\n]\n");
+    obs::JsonValue parsed;
+    ASSERT_TRUE(obs::jsonParse(json, parsed));
+    const std::vector<obs::JsonValue> &snaps = parsed.items();
+    ASSERT_FALSE(snaps.empty());
+
+    // N periodic snapshots (seq 1..N), one per `every` processed
+    // samples, plus the final one.
+    const std::size_t periodic = static_cast<std::size_t>(
+        snaps.back().numberOr("processed", 0)) / every;
+    EXPECT_GT(periodic, serve::FleetServer::kRetainedSnapshots);
+    ASSERT_EQ(snaps.size(), periodic + 1);
+    for (std::size_t i = 0; i < periodic; ++i)
+        EXPECT_EQ(snaps[i].numberOr("seq", 0), i + 1.0) << i;
+    EXPECT_NE(result.out.find("wrote " + std::to_string(periodic + 1) +
+                              " snapshots to "),
+              std::string::npos)
+        << result.out;
+    std::remove(model_path.c_str());
+    std::remove(snaps_path.c_str());
 }
 
 TEST(Cli, AutopilotNeedsReplayNotListen)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the bounded MPSC ingestion queue: FIFO order, the
  * drop-oldest overflow policy, batch draining, and the recycled-
- * buffer contract (popBatch swaps row buffers instead of freeing).
+ * buffer contract (popBatch swaps row buffers instead of freeing,
+ * and push writes the one returned last).
  */
 #include <gtest/gtest.h>
 
@@ -149,6 +150,52 @@ TEST(BoundedSampleQueue, RecyclesBuffersSteadyState)
         EXPECT_GE(sample.catalogRow.capacity(), 3u);
     }
     (void)pool;
+}
+
+TEST(BoundedSampleQueue, PushWritesTheBufferReturnedLast)
+{
+    // The buffers popBatch gets back form a LIFO stack: the next push
+    // into a drained slot writes the one returned last, not a buffer
+    // the ring parked there a lap earlier, and tryPush does the same.
+    BoundedSampleQueue queue(8);
+    const std::vector<double> row = {1.0, 2.0, 3.0};
+    std::vector<QueuedSample> batch(2);
+    for (QueuedSample &sample : batch)
+        sample.catalogRow.reserve(row.size());
+    const double *returnedFirst = batch[0].catalogRow.data();
+    const double *returnedLast = batch[1].catalogRow.data();
+
+    queue.push(entryOf(0), row.data(), row.size(), 0.0);
+    queue.push(entryOf(1), row.data(), row.size(), 0.0);
+    ASSERT_EQ(queue.popBatch(batch.data(), 2), 2u);
+
+    queue.push(entryOf(2), row.data(), row.size(), 0.0);
+    ASSERT_TRUE(queue.tryPush(entryOf(3), row.data(), row.size(), 0.0));
+    const std::vector<QueuedSample> out = popAll(queue, 2);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].catalogRow.data(), returnedLast);
+    EXPECT_EQ(out[1].catalogRow.data(), returnedFirst);
+    EXPECT_EQ(out[0].catalogRow, row);
+    EXPECT_EQ(out[1].catalogRow, row);
+}
+
+TEST(BoundedSampleQueue, BurstDeeperThanTheSpareStackStaysFifo)
+{
+    // A backlog deeper than the spare stack parks the surplus buffers
+    // in their drained slots; later pushes reuse both kinds and every
+    // sample still comes out intact and in order.
+    BoundedSampleQueue queue(4096);
+    std::vector<QueuedSample> batch(3000);
+    double next = 0.0;
+    double expect = 0.0;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 3000; ++i)
+            ASSERT_EQ(pushTagged(queue, next++), nullptr);
+        ASSERT_EQ(queue.popBatch(batch.data(), batch.size()), 3000u);
+        for (const QueuedSample &sample : batch)
+            ASSERT_EQ(tagOf(sample), expect++);
+    }
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(BoundedSampleQueue, IngestTimestampsRideEverySlot)

@@ -2,10 +2,16 @@
  * @file
  * Tests for the streaming fleet server: exact agreement with a serial
  * estimator, threaded drain accounting, the drop-oldest backpressure
- * path, snapshots, and model hot-swap under an active producer.
+ * path, snapshots and their bounded ring, and model hot-swap under an
+ * active producer.
  */
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,6 +300,257 @@ TEST(FleetServer, PeriodicSnapshotsEveryNSamples)
 
     EXPECT_EQ(server.snapshots().size(), 3u);
     EXPECT_EQ(callbacks, 3u);
+}
+
+/**
+ * Records every estimate per machine. Each machine's vector is
+ * created before draining, so concurrent calls for different machines
+ * touch disjoint storage.
+ */
+class RecordingObserver : public SampleObserver
+{
+  public:
+    void onSample(MachineEntry &entry, OnlinePowerEstimator &,
+                  double estimateW, double) override
+    {
+        estimates.at(&entry).push_back(estimateW);
+    }
+
+    std::unordered_map<const MachineEntry *, std::vector<double>>
+        estimates;
+};
+
+/** parallelFor calls so far (pooled jobs plus inline loops). */
+std::uint64_t
+parallelForCalls()
+{
+    obs::Registry &registry = obs::Registry::instance();
+    return registry.counter("chaos.parallel.jobs_posted").value() +
+           registry.counter("chaos.parallel.inline_loops").value();
+}
+
+TEST(FleetServer, FullPassFanOutMatchesSerialEstimator)
+{
+    constexpr std::size_t kBatch = 32;
+    constexpr int kMachines = 64;
+    constexpr int kTicks = 40;
+    auto rowFor = [](int t, int m) {
+        return catalogRow((t * 7 + m * 3) % 100, 100.0 - (t + m) % 90);
+    };
+    auto meterFor = [](int t, int m) { return 25.0 + 0.2 * t + m; };
+
+    // The reference: one serial estimator per machine.
+    std::vector<std::vector<double>> serial(kMachines);
+    for (int m = 0; m < kMachines; ++m) {
+        OnlinePowerEstimator estimator(makeTestModel(7 + m % 3));
+        for (int t = 0; t < kTicks; ++t) {
+            serial[m].push_back(estimator.estimateWithReference(
+                rowFor(t, m), meterFor(t, m)));
+        }
+    }
+
+    std::vector<std::vector<std::vector<double>>> served;
+    for (const std::size_t threads : {1u, 4u}) {
+        setGlobalThreadCount(threads);
+        FleetServerConfig config;
+        config.numShards = 4;
+        config.maxBatch = kBatch;
+        FleetServer server(config);
+        RecordingObserver observer;
+        std::vector<MachineEntry *> entries;
+        for (int m = 0; m < kMachines; ++m) {
+            entries.push_back(&server.addMachine(
+                "m" + std::to_string(m), makeTestModel(7 + m % 3)));
+            observer.estimates[entries.back()];
+        }
+        server.setSampleObserver(&observer);
+
+        // Preload everything but m0's last sample: 2559 samples make
+        // 79 full passes (fanned out) and one serial pass of 31; m0's
+        // last sample then drains alone in a serial pass of 1.
+        for (int t = 0; t < kTicks; ++t) {
+            for (int m = 0; m < kMachines; ++m) {
+                if (t + 1 < kTicks || m != 0)
+                    server.submitTo(*entries[m], rowFor(t, m),
+                                    meterFor(t, m));
+            }
+        }
+        std::vector<std::size_t> passes;
+        auto drainAll = [&] {
+            for (;;) {
+                const std::uint64_t calls = parallelForCalls();
+                const std::size_t n = server.drainOnce();
+                if (n == 0)
+                    break;
+                passes.push_back(n);
+                // One fan-out per full pass; a short pass stays on
+                // the draining thread.
+                EXPECT_EQ(parallelForCalls() - calls,
+                          n == kBatch ? 1u : 0u)
+                    << "pass " << passes.size() << " of " << n;
+            }
+        };
+        drainAll();
+        server.submitTo(*entries[0], rowFor(kTicks - 1, 0),
+                        meterFor(kTicks - 1, 0));
+        drainAll();
+        server.setSampleObserver(nullptr);
+
+        ASSERT_EQ(passes.size(), 81u);
+        EXPECT_EQ(std::count(passes.begin(), passes.end(), kBatch),
+                  79);
+        EXPECT_EQ(passes[79], 31u);
+        EXPECT_EQ(passes[80], 1u);
+        EXPECT_EQ(server.processed(), server.submitted());
+
+        served.emplace_back();
+        for (int m = 0; m < kMachines; ++m) {
+            // Bitwise agreement with the serial estimator, in order.
+            EXPECT_EQ(observer.estimates.at(entries[m]), serial[m])
+                << "m" << m << " threads " << threads;
+            served.back().push_back(observer.estimates.at(entries[m]));
+        }
+    }
+    setGlobalThreadCount(1);
+    EXPECT_EQ(served[0], served[1]);
+}
+
+TEST(FleetServer, PeriodicSnapshotRingKeepsLatest)
+{
+    constexpr std::size_t kTaken = FleetServer::kRetainedSnapshots + 5;
+    FleetServerConfig config;
+    config.snapshotEverySamples = 10;
+    FleetServer server(config);
+    MachineEntry &entry = server.addMachine("m0", makeTestModel(9));
+
+    // The callback sees the stored snapshot itself, not a copy.
+    std::vector<const FleetSnapshot *> seen;
+    server.onSnapshot([&](const FleetSnapshot &snap) {
+        seen.push_back(&snap);
+        EXPECT_EQ(&snap, server.snapshots().back().get());
+    });
+    for (std::size_t i = 0; i < 10 * kTaken; ++i)
+        server.submitTo(entry, catalogRow(i % 100, 50.0));
+    while (server.drainOnce() > 0) {
+    }
+
+    EXPECT_EQ(seen.size(), kTaken);
+    const auto retained = server.snapshots();
+    ASSERT_EQ(retained.size(), FleetServer::kRetainedSnapshots);
+    for (std::size_t i = 0; i < retained.size(); ++i) {
+        // The latest ones, consecutive, oldest first.
+        EXPECT_EQ(retained[i]->seq, kTaken - retained.size() + i + 1);
+        EXPECT_EQ(retained[i].get(), seen[kTaken - retained.size() + i]);
+    }
+    EXPECT_EQ(retained.back()->samplesProcessed, 10 * kTaken);
+}
+
+TEST(FleetServer, SnapshotOrderIncludesMachinesAddedWhileRunning)
+{
+    FleetServerConfig config;
+    config.snapshotEverySamples = 8;
+    FleetServer server(config);
+    std::mutex mu;
+    std::vector<std::vector<std::string>> periodic;
+    server.onSnapshot([&](const FleetSnapshot &snap) {
+        std::vector<std::string> ids;
+        for (const MachineSnapshot &m : snap.machines)
+            ids.push_back(m.id);
+        std::lock_guard<std::mutex> lock(mu);
+        periodic.push_back(std::move(ids));
+    });
+    auto periodicCount = [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return periodic.size();
+    };
+
+    std::vector<std::string> expected;
+    auto add = [&](const std::string &id) {
+        server.addMachine(id, makeTestModel(3));
+        expected.push_back(id);
+        std::vector<std::string> sorted = expected;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<std::string> ids;
+        for (const MachineSnapshot &m : server.snapshot().machines)
+            ids.push_back(m.id);
+        EXPECT_EQ(ids, sorted) << "after adding " << id;
+        return sorted;
+    };
+    // Feed 16 samples per machine and wait for the 2 snapshots per
+    // machine they trigger: waitIdle() alone can return before the
+    // pass that processed the last sample emitted its snapshot.
+    auto feed = [&] {
+        const std::size_t target = periodicCount() + 2 * expected.size();
+        for (int i = 0; i < 16; ++i) {
+            for (const std::string &id : expected)
+                server.submit(id, catalogRow(i, 50.0));
+        }
+        while (periodicCount() < target)
+            std::this_thread::yield();
+    };
+
+    std::vector<std::string> before;
+    for (const char *id : {"m07", "m02", "m11", "m05"})
+        before = add(id);
+    server.start();
+    feed();
+    std::vector<std::string> after;
+    for (const char *id : {"m09", "m01", "m13", "m03"})
+        after = add(id);
+    feed();
+    server.stop();
+
+    std::lock_guard<std::mutex> lock(mu);
+    const std::size_t firstPhase = 2 * before.size();
+    ASSERT_EQ(periodic.size(), firstPhase + 2 * after.size());
+    for (std::size_t i = 0; i < periodic.size(); ++i)
+        EXPECT_EQ(periodic[i], i < firstPhase ? before : after) << i;
+}
+
+TEST(FleetServer, SnapshotRingReadWhileDraining)
+{
+    setGlobalThreadCount(2);
+    FleetServerConfig config;
+    config.snapshotEverySamples = 8;
+    config.idleSleepMicros = 20;
+    FleetServer server(config);
+    std::vector<MachineEntry *> entries;
+    for (int m = 0; m < 6; ++m) {
+        entries.push_back(&server.addMachine(
+            "m" + std::to_string(m), makeTestModel(5)));
+    }
+    server.start();
+
+    std::atomic<bool> producing{true};
+    std::size_t reads = 0;
+    std::thread reader([&] {
+        while (producing.load()) {
+            std::uint64_t lastSeq = 0;
+            for (const auto &snap : server.snapshots()) {
+                EXPECT_EQ(snap->machines.size(), entries.size());
+                EXPECT_GT(snap->seq, lastSeq);
+                lastSeq = snap->seq;
+            }
+            EXPECT_EQ(server.snapshot().machines.size(),
+                      entries.size());
+            ++reads;
+        }
+    });
+    const std::size_t total = 4000;
+    for (std::size_t i = 0; i < total; ++i)
+        server.submitTo(*entries[i % entries.size()],
+                        catalogRow(i % 100, 50.0));
+    server.waitIdle();
+    producing.store(false);
+    reader.join();
+    server.stop();
+    setGlobalThreadCount(1);
+
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(server.submitted(), total);
+    EXPECT_EQ(server.processed() + server.dropped(), total);
+    EXPECT_EQ(server.dropped(), 0u);
+    EXPECT_EQ(server.snapshots().size(), FleetServer::kRetainedSnapshots);
 }
 
 TEST(FleetServer, HotSwapUnderActiveProducerLosesNothing)
