@@ -11,12 +11,18 @@
 
 namespace chaos::net {
 
+namespace {
+
+/** Bytes each socket read asks for (acks and snapshots are small). */
+constexpr std::size_t kReadChunk = 16 * 1024;
+
+} // namespace
+
 IngestClient::IngestClient(IngestClientConfig config)
     : cfg(std::move(config))
 {
     if (cfg.window == 0)
         cfg.window = 1;
-    inBuf.resize(16 * 1024);
     latencyRing.reserve(cfg.maxLatencySamples);
 }
 
@@ -45,14 +51,8 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
                 "net: ack window stalled (server not acking)");
     }
 
-    SampleFrame sample;
-    sample.tick = tick;
-    sample.machineId = machineId;
-    sample.hasMetered = !std::isnan(meteredW);
-    sample.meteredW = meteredW;
-    sample.row.assign(row, row + rowSize);
-
-    encodeSample(sample, outBuf);
+    encodeSample(tick, machineId, !std::isnan(meteredW), meteredW, row,
+                 rowSize, outBuf);
     if (outBuf.size() >= cfg.coalesceBytes)
         flushSendBuffer();
     ++sentCount;
@@ -77,20 +77,20 @@ IngestClient::pump(bool blocking)
             handleAck(frame);
             ++consumed;
         }
-        raiseIf(!reader.error().empty(),
-                "net: protocol error from server: " + reader.error());
+        if (!reader.error().empty())
+            raise("net: protocol error from server: " + reader.error());
         if (consumed > 0 || !blocking)
             break;
 
         pollfd pfd{sock.fd(), POLLIN, 0};
         const int ready = ::poll(&pfd, 1, cfg.ackTimeoutMs);
-        raiseIf(ready < 0 && errno != EINTR,
-                std::string("net: poll: ") + std::strerror(errno));
+        if (ready < 0 && errno != EINTR)
+            raise(std::string("net: poll: ") + std::strerror(errno));
         if (ready == 0)
             return 0; // Timed out with nothing consumed.
 
         const ssize_t n =
-            ::read(sock.fd(), inBuf.data(), inBuf.size());
+            ::read(sock.fd(), reader.prepare(kReadChunk), kReadChunk);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -104,7 +104,7 @@ IngestClient::pump(bool blocking)
                        ? std::string(" (after bad-sample nack)")
                        : std::string()));
         }
-        reader.append(inBuf.data(), static_cast<std::size_t>(n));
+        reader.commit(static_cast<std::size_t>(n));
     }
     return consumed;
 }
@@ -220,7 +220,6 @@ fetchSnapshot(const std::string &host, std::uint16_t port,
 
     FrameReader reader;
     Frame frame;
-    std::uint8_t chunk[16 * 1024];
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeoutMs);
     while (true) {
@@ -253,7 +252,8 @@ fetchSnapshot(const std::string &host, std::uint16_t port,
         }
         if (ready == 0)
             continue; // Deadline check above raises next round.
-        const ssize_t n = ::read(sock.fd(), chunk, sizeof(chunk));
+        const ssize_t n =
+            ::read(sock.fd(), reader.prepare(kReadChunk), kReadChunk);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -262,7 +262,7 @@ fetchSnapshot(const std::string &host, std::uint16_t port,
         }
         raiseIf(n == 0,
                 "net: server closed before sending the snapshot");
-        reader.append(chunk, static_cast<std::size_t>(n));
+        reader.commit(static_cast<std::size_t>(n));
     }
 }
 

@@ -127,7 +127,6 @@ class IngestClient
     FrameReader reader;
     Frame frame;                      ///< Reused decode target.
     std::vector<std::uint8_t> outBuf; ///< Coalesced unsent frames.
-    std::vector<std::uint8_t> inBuf;  ///< Reused read chunk.
 
     std::uint64_t sentCount = 0;
     std::uint64_t acceptedTotal = 0;

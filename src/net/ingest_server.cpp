@@ -104,7 +104,6 @@ struct ChaosIngestServer::Connection
 
     FrameReader reader;
     Frame frame; ///< Reused decode target.
-    std::vector<std::uint8_t> inChunk;
 
     std::vector<std::uint8_t> outBuf;
     std::size_t outPos = 0;
@@ -290,7 +289,6 @@ ChaosIngestServer::acceptPending()
         conn->peer = peerName(sock.fd());
         conn->fd = std::move(sock);
         conn->id = nextConnId.fetch_add(1);
-        conn->inChunk.resize(cfg.readChunk);
         live.push_back(conn);
         {
             std::lock_guard<std::mutex> lock(statsMu);
@@ -306,8 +304,11 @@ bool
 ChaosIngestServer::handleReadable(Connection &conn)
 {
     while (true) {
-        const ssize_t n = ::read(conn.fd.fd(), conn.inChunk.data(),
-                                 conn.inChunk.size());
+        // Read straight into the frame reader's buffer: no staging
+        // copy of each chunk.
+        const ssize_t n =
+            ::read(conn.fd.fd(), conn.reader.prepare(cfg.readChunk),
+                   cfg.readChunk);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -328,11 +329,10 @@ ChaosIngestServer::handleReadable(Connection &conn)
         }
         conn.bytesIn.fetch_add(static_cast<std::uint64_t>(n));
         NetMetrics::get().bytesIn.add(static_cast<std::uint64_t>(n));
-        conn.reader.append(conn.inChunk.data(),
-                           static_cast<std::size_t>(n));
+        conn.reader.commit(static_cast<std::size_t>(n));
         if (!processFrames(conn))
             return false;
-        if (static_cast<std::size_t>(n) < conn.inChunk.size())
+        if (static_cast<std::size_t>(n) < cfg.readChunk)
             return true; // Drained the socket for now.
     }
 }
@@ -455,9 +455,8 @@ ChaosIngestServer::queueCredit(Connection &conn)
     credits.fetch_add(1);
     NetMetrics::get().credits.add();
 
-    std::vector<std::uint8_t> buf;
-    encodeCredit(credit, buf);
-    queueBytes(conn, buf.data(), buf.size());
+    compactOutput(conn);
+    encodeCredit(credit, conn.outBuf);
 }
 
 void
@@ -469,9 +468,8 @@ ChaosIngestServer::queueNack(Connection &conn, NackReason reason)
     nacks.fetch_add(1);
     NetMetrics::get().nacks.add();
 
-    std::vector<std::uint8_t> buf;
-    encodeNack(nack, buf);
-    queueBytes(conn, buf.data(), buf.size());
+    compactOutput(conn);
+    encodeNack(nack, conn.outBuf);
 }
 
 void
@@ -483,9 +481,8 @@ ChaosIngestServer::queueSnapshot(Connection &conn, std::uint64_t seq)
     SnapshotFrame snapshot;
     snapshot.seq = seq;
     snapshot.json = buildIntrospectJson();
-    std::vector<std::uint8_t> buf;
-    encodeSnapshot(snapshot, buf);
-    queueBytes(conn, buf.data(), buf.size());
+    compactOutput(conn);
+    encodeSnapshot(snapshot, conn.outBuf);
 }
 
 std::string
@@ -519,11 +516,9 @@ ChaosIngestServer::buildIntrospectJson() const
 }
 
 void
-ChaosIngestServer::queueBytes(Connection &conn,
-                              const std::uint8_t *data,
-                              std::size_t size)
+ChaosIngestServer::compactOutput(Connection &conn)
 {
-    // Compact the consumed prefix before growing.
+    // Drop the already-written prefix before a frame is appended.
     if (conn.outPos > 0 && conn.outPos == conn.outBuf.size()) {
         conn.outBuf.clear();
         conn.outPos = 0;
@@ -534,7 +529,6 @@ ChaosIngestServer::queueBytes(Connection &conn,
                               static_cast<std::ptrdiff_t>(conn.outPos));
         conn.outPos = 0;
     }
-    conn.outBuf.insert(conn.outBuf.end(), data, data + size);
 }
 
 bool

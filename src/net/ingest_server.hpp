@@ -183,8 +183,8 @@ class ChaosIngestServer
     std::string buildIntrospectJson() const;
     void queueCredit(Connection &conn);
     void queueNack(Connection &conn, NackReason reason);
-    void queueBytes(Connection &conn, const std::uint8_t *data,
-                    std::size_t size);
+    /** Reclaim conn.outBuf's written prefix before encoding into it. */
+    void compactOutput(Connection &conn);
     /** @return false when the connection was closed. */
     bool flushWrites(Connection &conn);
     void closeConnection(Connection &conn, const std::string &reason,

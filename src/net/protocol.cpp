@@ -1,7 +1,12 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "obs/json.hpp"
 #include "util/result.hpp"
@@ -13,74 +18,69 @@ namespace {
 constexpr std::uint8_t kMagic0 = 'C';
 constexpr std::uint8_t kMagic1 = 'W';
 
-// ---- Little-endian primitive packing -------------------------------
+// ---- Little-endian load/store --------------------------------------
 
+#if defined(__BYTE_ORDER__) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+constexpr bool kLittleEndianHost = true;
+#else
+constexpr bool kLittleEndianHost = false;
+#endif
+
+/** Store @p v at @p p as little-endian bytes (doubles as their bits). */
+template <typename T>
 void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
+storeLE(std::uint8_t *p, T v)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    std::memcpy(p, &v, sizeof(T));
+    if constexpr (!kLittleEndianHost)
+        std::reverse(p, p + sizeof(T));
 }
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+/** Load a little-endian T from @p p (inverse of storeLE). */
+template <typename T>
+T
+loadLE(const std::uint8_t *p)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putF64(std::vector<std::uint8_t> &out, double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-std::uint16_t
-getU16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0]) |
-           static_cast<std::uint16_t>(p[1]) << 8;
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = v << 8 | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = v << 8 | p[i];
-    return v;
-}
-
-double
-getF64(const std::uint8_t *p)
-{
-    const std::uint64_t bits = getU64(p);
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
+    std::uint8_t bytes[sizeof(T)] = {};
+    std::memcpy(bytes, p, sizeof(T));
+    if constexpr (!kLittleEndianHost)
+        std::reverse(bytes, bytes + sizeof(T));
+    T v{};
+    std::memcpy(&v, bytes, sizeof(T));
     return v;
 }
 
 /**
- * Payload reader with bounds checking: every get*() fails (sets bad)
+ * A counter row is @p n little-endian doubles back to back, which on
+ * a little-endian host is exactly its memory image: one copy.
+ */
+void
+storeRow(std::uint8_t *p, const double *row, std::size_t n)
+{
+    if constexpr (kLittleEndianHost) {
+        if (n > 0)
+            std::memcpy(p, row, n * sizeof(double));
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            storeLE(p + 8 * i, row[i]);
+    }
+}
+
+void
+loadRow(double *row, const std::uint8_t *p, std::size_t n)
+{
+    if constexpr (kLittleEndianHost) {
+        if (n > 0)
+            std::memcpy(row, p, n * sizeof(double));
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            row[i] = loadLE<double>(p + 8 * i);
+    }
+}
+
+/**
+ * Payload reader with bounds checking: every get() fails (sets bad)
  * instead of reading past the declared payload, so a length field
  * that lies about its own payload is caught structurally even before
  * the checksum would have.
@@ -101,94 +101,87 @@ struct PayloadReader
         return true;
     }
 
-    std::uint8_t
-    u8()
+    template <typename T>
+    T
+    get()
     {
-        if (!take(1))
-            return 0;
-        const std::uint8_t v = *p;
-        p += 1;
-        left -= 1;
-        return v;
-    }
-
-    std::uint16_t
-    u16()
-    {
-        if (!take(2))
-            return 0;
-        const std::uint16_t v = getU16(p);
-        p += 2;
-        left -= 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!take(4))
-            return 0;
-        const std::uint32_t v = getU32(p);
-        p += 4;
-        left -= 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!take(8))
-            return 0;
-        const std::uint64_t v = getU64(p);
-        p += 8;
-        left -= 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        if (!take(8))
-            return 0.0;
-        const double v = getF64(p);
-        p += 8;
-        left -= 8;
+        if (!take(sizeof(T)))
+            return T{};
+        const T v = loadLE<T>(p);
+        p += sizeof(T);
+        left -= sizeof(T);
         return v;
     }
 };
 
-/** Finish building a binary frame: patch length, compute the CRC. */
-std::size_t
-sealFrame(std::vector<std::uint8_t> &out, std::size_t headerAt)
+/** Cursor over a frame payload that openFrame already sized. */
+struct PayloadWriter
 {
-    const std::size_t payloadLen = out.size() - headerAt - kHeaderSize;
-    std::uint8_t lenBytes[4];
-    for (int i = 0; i < 4; ++i)
-        lenBytes[i] = static_cast<std::uint8_t>(payloadLen >> (8 * i));
-    std::memcpy(out.data() + headerAt + 4, lenBytes, 4);
-    // CRC over [version, type, len] then the payload: every byte
-    // after the magic is covered.
-    std::uint32_t crc = crc32(out.data() + headerAt + 2, 6);
-    crc = crc32(out.data() + headerAt + kHeaderSize, payloadLen, crc);
-    for (int i = 0; i < 4; ++i) {
-        out[headerAt + 8 + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(crc >> (8 * i));
-    }
-    return out.size() - headerAt;
-}
+    std::uint8_t *p;
 
-/** Start a binary frame of @p type; length and CRC patched by seal. */
-std::size_t
-openFrame(std::vector<std::uint8_t> &out, FrameType type)
+    template <typename T>
+    void
+    put(T v)
+    {
+        storeLE(p, v);
+        p += sizeof(T);
+    }
+
+    void
+    bytes(const void *src, std::size_t n)
+    {
+        if (n > 0)
+            std::memcpy(p, src, n);
+        p += n;
+    }
+
+    void
+    row(const double *src, std::size_t n)
+    {
+        storeRow(p, src, n);
+        p += 8 * n;
+    }
+};
+
+/**
+ * Append the header of a @p type frame with a @p payloadLen-byte
+ * payload and size @p out to hold it, so encoding grows the buffer
+ * once per frame. Returns a writer over the payload; sealFrame then
+ * stamps the CRC.
+ */
+PayloadWriter
+openFrame(std::vector<std::uint8_t> &out, FrameType type,
+          std::size_t payloadLen)
 {
     const std::size_t headerAt = out.size();
-    out.push_back(kMagic0);
-    out.push_back(kMagic1);
-    out.push_back(kProtocolVersion);
-    out.push_back(static_cast<std::uint8_t>(type));
-    putU32(out, 0); // Payload length, patched by sealFrame.
-    putU32(out, 0); // CRC, patched by sealFrame.
-    return headerAt;
+    out.resize(headerAt + kHeaderSize + payloadLen);
+    std::uint8_t *h = out.data() + headerAt;
+    h[0] = kMagic0;
+    h[1] = kMagic1;
+    h[2] = kProtocolVersion;
+    h[3] = static_cast<std::uint8_t>(type);
+    storeLE(h + 4, static_cast<std::uint32_t>(payloadLen));
+    return PayloadWriter{h + kHeaderSize};
+}
+
+/**
+ * Finish the frame that ends @p out: check that @p w wrote exactly
+ * the @p payloadLen bytes openFrame sized, so a layout and its length
+ * cannot drift apart, then compute and store the CRC.
+ */
+std::size_t
+sealFrame(std::vector<std::uint8_t> &out, const PayloadWriter &w,
+          std::size_t payloadLen)
+{
+    panicIf(w.p != out.data() + out.size(),
+            "sealFrame: payload writes do not end where the frame ends");
+    std::uint8_t *h = out.data() + out.size() - kHeaderSize - payloadLen;
+    // CRC over [version, type, len] then the payload: every byte
+    // after the magic is covered.
+    std::uint32_t crc = crc32(h + 2, 6);
+    crc = crc32(h + kHeaderSize, payloadLen, crc);
+    storeLE(h + 8, crc);
+    return kHeaderSize + payloadLen;
 }
 
 DecodeResult
@@ -213,14 +206,15 @@ nackReasonName(NackReason reason)
     return "unknown";
 }
 
+namespace detail {
+
 std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size, std::uint32_t seed)
+crc32Table(const std::uint8_t *data, std::size_t size,
+           std::uint32_t seed)
 {
-    // Standard IEEE 802.3 reflected CRC-32, slice-by-8: every frame
-    // pays a CRC on both ends of the wire, and the byte-at-a-time
-    // loop's serial table-lookup chain was a measurable slice of the
-    // per-sample budget at ingest rates. Eight tables let eight
-    // lookups proceed independently per 8-byte block.
+    // Standard IEEE 802.3 reflected CRC-32, slice-by-8: eight tables
+    // let eight lookups proceed independently per 8-byte block,
+    // instead of one serial table-lookup chain per byte.
     static const auto tables = [] {
         std::array<std::array<std::uint32_t, 256>, 8> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
@@ -237,79 +231,231 @@ crc32(const std::uint8_t *data, std::size_t size, std::uint32_t seed)
         return t;
     }();
     std::uint32_t crc = ~seed;
-#if defined(__BYTE_ORDER__) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    while (size >= 8) {
-        std::uint32_t lo;
-        std::uint32_t hi;
-        std::memcpy(&lo, data, 4);
-        std::memcpy(&hi, data + 4, 4);
-        // The wire (and these loads on a little-endian host) feed
-        // bytes lowest-address-first, matching the reflected CRC's
-        // low-order-first processing.
-        lo ^= crc;
-        crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-              tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-              tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-              tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-        data += 8;
-        size -= 8;
+    if constexpr (kLittleEndianHost) {
+        while (size >= 8) {
+            // Little-endian loads feed bytes lowest-address-first,
+            // matching the reflected CRC's low-order-first order.
+            std::uint32_t lo = loadLE<std::uint32_t>(data) ^ crc;
+            const std::uint32_t hi = loadLE<std::uint32_t>(data + 4);
+            crc = tables[7][lo & 0xFFu] ^
+                  tables[6][(lo >> 8) & 0xFFu] ^
+                  tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+                  tables[3][hi & 0xFFu] ^
+                  tables[2][(hi >> 8) & 0xFFu] ^
+                  tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+            data += 8;
+            size -= 8;
+        }
     }
-#endif
     for (std::size_t i = 0; i < size; ++i)
         crc = tables[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
     return ~crc;
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+#define CHAOS_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+CHAOS_CLMUL_TARGET __m128i
+load128(const std::uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/** One fold step: (x.lo * k.lo) ^ (x.hi * k.hi) ^ next. */
+CHAOS_CLMUL_TARGET __m128i
+fold128(__m128i x, __m128i k, __m128i next)
+{
+    const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+    const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+    return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+/**
+ * Fold a multiple of 16 bytes, at least 64, into the (pre-inverted)
+ * CRC state @p crc with carry-less multiplies: Gopal et al., "Fast
+ * CRC Computation for Generic Polynomials Using PCLMULQDQ
+ * Instruction" (Intel, 2009), in the bit-reflected domain. Four
+ * 128-bit lanes fold 64 bytes per step (k1, k2), collapse into one
+ * lane (k3, k4), fold the remaining 16-byte blocks, reduce 128 to
+ * 64 bits (k5), and Barrett-reduce to 32 bits (P', mu'). The
+ * constants are the reflected IEEE ones zlib and Linux use.
+ */
+CHAOS_CLMUL_TARGET std::uint32_t
+crc32FoldClmul(const std::uint8_t *buf, std::size_t len,
+               std::uint32_t crc)
+{
+    alignas(16) static const std::uint64_t k1k2[] = {0x0154442bd4,
+                                                     0x01c6e41596};
+    alignas(16) static const std::uint64_t k3k4[] = {0x01751997d0,
+                                                     0x00ccaa009e};
+    alignas(16) static const std::uint64_t k5k0[] = {0x0163cd6124,
+                                                     0x0000000000};
+    alignas(16) static const std::uint64_t poly[] = {0x01db710641,
+                                                     0x01f7011641};
+    __m128i x1 = load128(buf + 0x00);
+    __m128i x2 = load128(buf + 0x10);
+    __m128i x3 = load128(buf + 0x20);
+    __m128i x4 = load128(buf + 0x30);
+    x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128(static_cast<int>(crc)));
+    buf += 64;
+    len -= 64;
+
+    __m128i k = _mm_load_si128(reinterpret_cast<const __m128i *>(k1k2));
+    while (len >= 64) {
+        x1 = fold128(x1, k, load128(buf + 0x00));
+        x2 = fold128(x2, k, load128(buf + 0x10));
+        x3 = fold128(x3, k, load128(buf + 0x20));
+        x4 = fold128(x4, k, load128(buf + 0x30));
+        buf += 64;
+        len -= 64;
+    }
+
+    k = _mm_load_si128(reinterpret_cast<const __m128i *>(k3k4));
+    x1 = fold128(x1, k, x2);
+    x1 = fold128(x1, k, x3);
+    x1 = fold128(x1, k, x4);
+    while (len >= 16) {
+        x1 = fold128(x1, k, load128(buf));
+        buf += 16;
+        len -= 16;
+    }
+
+    // 128 -> 64 bits.
+    const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    __m128i t = _mm_clmulepi64_si128(x1, k, 0x10);
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), t);
+    k = _mm_loadl_epi64(reinterpret_cast<const __m128i *>(k5k0));
+    t = _mm_srli_si128(x1, 4);
+    x1 = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x00);
+    x1 = _mm_xor_si128(x1, t);
+
+    // Barrett reduction 64 -> 32 bits.
+    k = _mm_load_si128(reinterpret_cast<const __m128i *>(poly));
+    t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), k, 0x00);
+    x1 = _mm_xor_si128(x1, t);
+    return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+}
+
+#undef CHAOS_CLMUL_TARGET
+
+} // namespace
+
+bool
+crc32ClmulAvailable()
+{
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return available;
+}
+
+std::uint32_t
+crc32Clmul(const std::uint8_t *data, std::size_t size,
+           std::uint32_t seed)
+{
+    if (size < kCrc32ClmulMinSize)
+        return crc32Table(data, size, seed);
+    const std::size_t folded = size & ~std::size_t{15};
+    const std::uint32_t crc = ~crc32FoldClmul(data, folded, ~seed);
+    return crc32Table(data + folded, size - folded, crc);
+}
+
+#else // No carry-less multiply on this architecture.
+
+bool
+crc32ClmulAvailable()
+{
+    return false;
+}
+
+std::uint32_t
+crc32Clmul(const std::uint8_t *data, std::size_t size,
+           std::uint32_t seed)
+{
+    return crc32Table(data, size, seed);
+}
+
+#endif
+
+} // namespace detail
+
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t size, std::uint32_t seed)
+{
+    // Every frame pays a CRC on both ends of the wire; sample frames
+    // are ~1.5 KB, where folding runs ~7x faster than the tables.
+    // crc32Clmul hands short inputs to the tables itself.
+    return detail::crc32ClmulAvailable()
+               ? detail::crc32Clmul(data, size, seed)
+               : detail::crc32Table(data, size, seed);
+}
+
 std::size_t
-encodeSample(const SampleFrame &frame, std::vector<std::uint8_t> &out)
+encodeSample(std::uint64_t tick, std::string_view machineId,
+             bool hasMetered, double meteredW, const double *row,
+             std::size_t rowSize, std::vector<std::uint8_t> &out)
 {
     // Machine ids and rows come from user input (CLI flags, fleet
     // manifests), so a limit violation is recoverable, not a bug.
-    raiseIf(frame.machineId.empty() ||
-                frame.machineId.size() > kMaxMachineIdLen,
+    raiseIf(machineId.empty() || machineId.size() > kMaxMachineIdLen,
             "encodeSample: machine id length out of range");
-    raiseIf(frame.row.size() > kMaxRowLen,
-            "encodeSample: row too wide");
-    const std::size_t headerAt = openFrame(out, FrameType::Sample);
-    putU64(out, frame.tick);
-    putU16(out, static_cast<std::uint16_t>(frame.machineId.size()));
-    out.insert(out.end(), frame.machineId.begin(),
-               frame.machineId.end());
-    out.push_back(frame.hasMetered ? 1 : 0);
-    putF64(out, frame.meteredW);
-    putU16(out, static_cast<std::uint16_t>(frame.row.size()));
-    for (const double v : frame.row)
-        putF64(out, v);
-    return sealFrame(out, headerAt);
+    raiseIf(rowSize > kMaxRowLen, "encodeSample: row too wide");
+    const std::size_t payloadLen =
+        8 + 2 + machineId.size() + 1 + 8 + 2 + 8 * rowSize;
+    PayloadWriter w = openFrame(out, FrameType::Sample, payloadLen);
+    w.put(tick);
+    w.put(static_cast<std::uint16_t>(machineId.size()));
+    w.bytes(machineId.data(), machineId.size());
+    w.put(static_cast<std::uint8_t>(hasMetered ? 1 : 0));
+    w.put(meteredW);
+    w.put(static_cast<std::uint16_t>(rowSize));
+    w.row(row, rowSize);
+    return sealFrame(out, w, payloadLen);
+}
+
+std::size_t
+encodeSample(const SampleFrame &frame, std::vector<std::uint8_t> &out)
+{
+    return encodeSample(frame.tick, frame.machineId, frame.hasMetered,
+                        frame.meteredW, frame.row.data(),
+                        frame.row.size(), out);
 }
 
 std::size_t
 encodeCredit(const CreditFrame &frame, std::vector<std::uint8_t> &out)
 {
-    const std::size_t headerAt = openFrame(out, FrameType::Credit);
-    putU64(out, frame.acceptedTotal);
-    putU64(out, frame.rejectedTotal);
-    putU32(out, frame.granted);
-    return sealFrame(out, headerAt);
+    constexpr std::size_t payloadLen = 8 + 8 + 4;
+    PayloadWriter w = openFrame(out, FrameType::Credit, payloadLen);
+    w.put(frame.acceptedTotal);
+    w.put(frame.rejectedTotal);
+    w.put(frame.granted);
+    return sealFrame(out, w, payloadLen);
 }
 
 std::size_t
 encodeNack(const NackFrame &frame, std::vector<std::uint8_t> &out)
 {
-    const std::size_t headerAt = openFrame(out, FrameType::Nack);
-    putU64(out, frame.rejectedTotal);
-    out.push_back(static_cast<std::uint8_t>(frame.reason));
-    return sealFrame(out, headerAt);
+    constexpr std::size_t payloadLen = 8 + 1;
+    PayloadWriter w = openFrame(out, FrameType::Nack, payloadLen);
+    w.put(frame.rejectedTotal);
+    w.put(static_cast<std::uint8_t>(frame.reason));
+    return sealFrame(out, w, payloadLen);
 }
 
 std::size_t
 encodeIntrospect(const IntrospectFrame &frame,
                  std::vector<std::uint8_t> &out)
 {
-    const std::size_t headerAt = openFrame(out, FrameType::Introspect);
-    putU64(out, frame.seq);
-    return sealFrame(out, headerAt);
+    constexpr std::size_t payloadLen = 8;
+    PayloadWriter w = openFrame(out, FrameType::Introspect, payloadLen);
+    w.put(frame.seq);
+    return sealFrame(out, w, payloadLen);
 }
 
 std::size_t
@@ -324,10 +470,11 @@ encodeSnapshot(const SnapshotFrame &frame,
             "encodeSnapshot: payload is not well-formed JSON");
     raiseIf(frame.json.size() + 8 > kMaxPayloadLen,
             "encodeSnapshot: payload exceeds the frame size cap");
-    const std::size_t headerAt = openFrame(out, FrameType::Snapshot);
-    putU64(out, frame.seq);
-    out.insert(out.end(), frame.json.begin(), frame.json.end());
-    return sealFrame(out, headerAt);
+    const std::size_t payloadLen = 8 + frame.json.size();
+    PayloadWriter w = openFrame(out, FrameType::Snapshot, payloadLen);
+    w.put(frame.seq);
+    w.bytes(frame.json.data(), frame.json.size());
+    return sealFrame(out, w, payloadLen);
 }
 
 DecodeResult
@@ -349,8 +496,8 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
         return r; // NeedMore.
 
     const std::uint8_t type = data[3];
-    const std::uint32_t payloadLen = getU32(data + 4);
-    const std::uint32_t wireCrc = getU32(data + 8);
+    const std::uint32_t payloadLen = loadLE<std::uint32_t>(data + 4);
+    const std::uint32_t wireCrc = loadLE<std::uint32_t>(data + 8);
     if (payloadLen > kMaxPayloadLen) {
         return decodeError("payload length " +
                            std::to_string(payloadLen) +
@@ -371,8 +518,8 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
       case FrameType::Sample: {
         out.type = FrameType::Sample;
         SampleFrame &s = out.sample;
-        s.tick = pr.u64();
-        const std::uint16_t idLen = pr.u16();
+        s.tick = pr.get<std::uint64_t>();
+        const std::uint16_t idLen = pr.get<std::uint16_t>();
         if (pr.bad || idLen == 0 || idLen > kMaxMachineIdLen ||
             !pr.take(idLen))
             return decodeError("sample: bad machine id length");
@@ -380,30 +527,32 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
                            idLen);
         pr.p += idLen;
         pr.left -= idLen;
-        s.hasMetered = pr.u8() != 0;
-        s.meteredW = pr.f64();
-        const std::uint16_t rowLen = pr.u16();
+        s.hasMetered = pr.get<std::uint8_t>() != 0;
+        s.meteredW = pr.get<double>();
+        const std::uint16_t rowLen = pr.get<std::uint16_t>();
         if (pr.bad || rowLen > kMaxRowLen ||
             pr.left != static_cast<std::size_t>(rowLen) * 8)
             return decodeError("sample: bad row length");
-        s.row.clear();
-        s.row.reserve(rowLen);
-        for (std::uint16_t i = 0; i < rowLen; ++i)
-            s.row.push_back(pr.f64());
+        // Reusing the row's capacity keeps steady-state decoding
+        // allocation-free.
+        s.row.resize(rowLen);
+        loadRow(s.row.data(), pr.p, rowLen);
+        pr.p += pr.left;
+        pr.left = 0;
         break;
       }
       case FrameType::Credit:
         out.type = FrameType::Credit;
-        out.credit.acceptedTotal = pr.u64();
-        out.credit.rejectedTotal = pr.u64();
-        out.credit.granted = pr.u32();
+        out.credit.acceptedTotal = pr.get<std::uint64_t>();
+        out.credit.rejectedTotal = pr.get<std::uint64_t>();
+        out.credit.granted = pr.get<std::uint32_t>();
         if (pr.bad || pr.left != 0)
             return decodeError("credit: bad payload size");
         break;
       case FrameType::Nack: {
         out.type = FrameType::Nack;
-        out.nack.rejectedTotal = pr.u64();
-        const std::uint8_t reason = pr.u8();
+        out.nack.rejectedTotal = pr.get<std::uint64_t>();
+        const std::uint8_t reason = pr.get<std::uint8_t>();
         if (pr.bad || pr.left != 0 || reason < 1 || reason > 3)
             return decodeError("nack: bad payload");
         out.nack.reason = static_cast<NackReason>(reason);
@@ -411,13 +560,13 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
       }
       case FrameType::Introspect:
         out.type = FrameType::Introspect;
-        out.introspect.seq = pr.u64();
+        out.introspect.seq = pr.get<std::uint64_t>();
         if (pr.bad || pr.left != 0)
             return decodeError("introspect: bad payload size");
         break;
       case FrameType::Snapshot: {
         out.type = FrameType::Snapshot;
-        out.snapshot.seq = pr.u64();
+        out.snapshot.seq = pr.get<std::uint64_t>();
         if (pr.bad)
             return decodeError("snapshot: truncated payload");
         out.snapshot.json.assign(
@@ -444,16 +593,44 @@ decodeFrameOrRaise(const std::uint8_t *data, std::size_t size,
                    Frame &out, std::size_t &consumed)
 {
     const DecodeResult r = decodeFrame(data, size, out);
-    raiseIf(r.status == DecodeStatus::Error,
-            "net: corrupt frame: " + r.error);
+    if (r.status == DecodeStatus::Error)
+        raise("net: corrupt frame: " + r.error);
     consumed = r.consumed;
     return r.status == DecodeStatus::Ok;
+}
+
+std::uint8_t *
+FrameReader::prepare(std::size_t size)
+{
+    if (buf.size() - writePos < size && readPos > 0) {
+        // Slide the unconsumed tail (at most a partial frame, when
+        // next() keeps up) to the front before growing, so a
+        // long-lived connection's buffer stays proportional to its
+        // backlog plus one read.
+        std::memmove(buf.data(), buf.data() + readPos, buffered());
+        writePos -= readPos;
+        readPos = 0;
+    }
+    if (buf.size() - writePos < size)
+        buf.resize(writePos + size);
+    return buf.data() + writePos;
+}
+
+void
+FrameReader::commit(std::size_t size)
+{
+    if (size > buf.size() - writePos)
+        panic("FrameReader::commit past the prepared space");
+    writePos += size;
 }
 
 void
 FrameReader::append(const std::uint8_t *data, std::size_t size)
 {
-    buf.insert(buf.end(), data, data + size);
+    if (size == 0)
+        return;
+    std::memcpy(prepare(size), data, size);
+    commit(size);
 }
 
 DecodeStatus
@@ -466,7 +643,8 @@ FrameReader::next(Frame &frame)
     switch (r.status) {
       case DecodeStatus::Ok:
         readPos += r.consumed;
-        compact();
+        if (readPos == writePos)
+            readPos = writePos = 0;
         return DecodeStatus::Ok;
       case DecodeStatus::NeedMore:
         return DecodeStatus::NeedMore;
@@ -475,19 +653,6 @@ FrameReader::next(Frame &frame)
         return DecodeStatus::Error;
     }
     return DecodeStatus::Error;
-}
-
-void
-FrameReader::compact()
-{
-    // Reclaim consumed prefix space once it dominates the buffer, so
-    // a long-lived connection's read buffer stays proportional to its
-    // unconsumed backlog instead of growing without bound.
-    if (readPos > 4096 && readPos * 2 > buf.size()) {
-        buf.erase(buf.begin(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(readPos));
-        readPos = 0;
-    }
 }
 
 } // namespace chaos::net

@@ -60,6 +60,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace chaos::net {
@@ -148,13 +149,57 @@ struct Frame
     SnapshotFrame snapshot;
 };
 
-/** CRC-32 (IEEE 802.3 polynomial) of @p data; seedable for chaining. */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected, as zlib computes it) of
+ * @p data; seedable for chaining: crc32(b, crc32(a)) == crc32(a||b).
+ * Inputs of at least detail::kCrc32ClmulMinSize bytes fold with
+ * carry-less multiplies (PCLMULQDQ) when the CPU has them, chosen
+ * once at run time; shorter inputs, and CPUs or architectures
+ * without them, use slice-by-8 tables. Both give the same value.
+ */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
                     std::uint32_t seed = 0);
 
+/** The two crc32() kernels, exposed so tests can check each. */
+namespace detail {
+
+/** Shortest input crc32() hands to the carry-less-multiply kernel. */
+inline constexpr std::size_t kCrc32ClmulMinSize = 64;
+
+/** Slice-by-8 table CRC-32: any input, any host. */
+std::uint32_t crc32Table(const std::uint8_t *data, std::size_t size,
+                         std::uint32_t seed = 0);
+
+/** True when this CPU can run crc32Clmul's folding kernel. */
+bool crc32ClmulAvailable();
+
+/**
+ * PCLMULQDQ-folding CRC-32 of the 16-byte blocks of @p data, with
+ * the table kernel for the tail and for inputs under
+ * kCrc32ClmulMinSize bytes. Call only when crc32ClmulAvailable().
+ */
+std::uint32_t crc32Clmul(const std::uint8_t *data, std::size_t size,
+                         std::uint32_t seed = 0);
+
+} // namespace detail
+
 // ---- Encoding (appends to @p out, returns bytes appended) ----------
 
-/** Append one binary Sample frame. */
+/**
+ * Append one binary Sample frame built straight from its fields, so
+ * a sender need not assemble a SampleFrame. Raises RecoverableError
+ * when the machine id is empty or longer than kMaxMachineIdLen, or
+ * the row is wider than kMaxRowLen.
+ */
+std::size_t encodeSample(std::uint64_t tick, std::string_view machineId,
+                         bool hasMetered, double meteredW,
+                         const double *row, std::size_t rowSize,
+                         std::vector<std::uint8_t> &out);
+
+/**
+ * Append one binary Sample frame from a SampleFrame. A convenience for
+ * tests and tools; the client encodes from its fields (above).
+ */
 std::size_t encodeSample(const SampleFrame &frame,
                          std::vector<std::uint8_t> &out);
 
@@ -224,8 +269,23 @@ bool decodeFrameOrRaise(const std::uint8_t *data, std::size_t size,
 class FrameReader
 {
   public:
-    /** Buffer @p size bytes received from the peer. */
+    /**
+     * Buffer @p size bytes received from the peer. A copying
+     * convenience for tests; transports read straight into the
+     * buffer through prepare()/commit().
+     */
     void append(const std::uint8_t *data, std::size_t size);
+
+    /**
+     * Writable space for up to @p size more bytes at the end of the
+     * buffer, so a transport can read into it without a staging copy.
+     * The space is valid until the next call on this reader; commit()
+     * the bytes actually written, if any, before that call.
+     */
+    std::uint8_t *prepare(std::size_t size);
+
+    /** Mark @p size bytes of the last prepare()'s space as received. */
+    void commit(std::size_t size);
 
     /**
      * Try to extract the next whole frame into @p frame.
@@ -238,13 +298,13 @@ class FrameReader
     const std::string &error() const { return errorMessage; }
 
     /** Bytes buffered but not yet consumed by a decoded frame. */
-    std::size_t buffered() const { return buf.size() - readPos; }
+    std::size_t buffered() const { return writePos - readPos; }
 
   private:
-    void compact();
-
+    /** Received bytes live in [readPos, writePos); the rest is spare. */
     std::vector<std::uint8_t> buf;
     std::size_t readPos = 0;
+    std::size_t writePos = 0;
     std::string errorMessage;
 };
 

@@ -167,8 +167,8 @@ FleetServer::submit(const std::string &machineId,
                     double meteredW)
 {
     MachineEntry *entry = registry.find(machineId);
-    raiseIf(entry == nullptr,
-            "serve: unknown machine id '" + machineId + "'");
+    if (entry == nullptr)
+        raise("serve: unknown machine id '" + machineId + "'");
     submitTo(*entry, catalogRow, rowSize, meteredW);
 }
 

@@ -21,6 +21,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace chaos {
 
@@ -106,13 +107,15 @@ LogSink setLogSink(LogSink sink);
  * Check an internal invariant; calls panic() with @p msg on failure.
  *
  * Unlike assert(), this is active in all build types: the modeling
- * pipeline relies on these checks to catch dimension mismatches.
+ * pipeline relies on these checks to catch dimension mismatches. The
+ * message is a view, so a passing check with a literal builds no
+ * std::string.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, std::string_view msg)
 {
     if (condition)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 /** Check a user-facing precondition; calls fatal() on failure. */

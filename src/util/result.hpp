@@ -23,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -58,12 +59,16 @@ raise(const std::string &msg)
     throw RecoverableError(msg);
 }
 
-/** Raise a RecoverableError if @p condition holds. */
+/**
+ * Raise a RecoverableError if @p condition holds. The message is a
+ * view, so a passing check with a literal builds no std::string: hot
+ * paths can check per sample without a heap allocation per check.
+ */
 inline void
-raiseIf(bool condition, const std::string &msg)
+raiseIf(bool condition, std::string_view msg)
 {
     if (condition)
-        raise(msg);
+        raise(std::string(msg));
 }
 
 /**

@@ -6,9 +6,12 @@
  * frames, none of which may crash the decoder or yield an accepted
  * sample that differs from what was sent.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,91 @@ TEST(Protocol, Crc32KnownAnswer)
               0xCBF43926u);
 }
 
+/** Bit-at-a-time reflected CRC-32: the definition, as the oracle. */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *data, std::size_t size,
+             std::uint32_t seed)
+{
+    std::uint32_t crc = ~seed;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+using CrcKernel = std::uint32_t (*)(const std::uint8_t *, std::size_t,
+                                    std::uint32_t);
+
+/**
+ * Check @p kernel against the oracle at every length 0..4096, at
+ * every buffer offset 0..15 (the CLMUL kernel's unaligned loads), for
+ * three seeds.
+ */
+void
+expectMatchesBitwise(CrcKernel kernel)
+{
+    constexpr std::size_t kMaxLen = 4096;
+    Rng rng(31);
+    std::vector<std::uint8_t> buf(kMaxLen + 16);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+        for (std::size_t offset = 0; offset < 16; ++offset) {
+            const std::uint8_t *data = buf.data() + offset;
+            // The oracle extends one byte at a time by chaining.
+            std::uint32_t expected = bitwiseCrc32(data, 0, seed);
+            for (std::size_t len = 0; len <= kMaxLen; ++len) {
+                ASSERT_EQ(kernel(data, len, seed), expected)
+                    << "len " << len << " offset " << offset
+                    << " seed " << seed;
+                if (len < kMaxLen)
+                    expected = bitwiseCrc32(data + len, 1, expected);
+            }
+        }
+    }
+}
+
+TEST(Protocol, Crc32TableMatchesBitwiseReference)
+{
+    expectMatchesBitwise(&detail::crc32Table);
+}
+
+TEST(Protocol, Crc32ClmulMatchesBitwiseReference)
+{
+    if (!detail::crc32ClmulAvailable())
+        GTEST_SKIP() << "this CPU has no PCLMULQDQ/SSE4.1; crc32() "
+                        "runs the table kernel only";
+    expectMatchesBitwise(&detail::crc32Clmul);
+}
+
+TEST(Protocol, Crc32ChainsAcrossTheClmulThreshold)
+{
+    // crc32(b, crc32(a)) == crc32(a||b) with a and b on either side
+    // of the 64-byte threshold, so a chained header + payload CRC
+    // mixes the two kernels freely.
+    Rng rng(37);
+    std::vector<std::uint8_t> buf(3 * detail::kCrc32ClmulMinSize);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    std::vector<CrcKernel> kernels = {&crc32, &detail::crc32Table};
+    if (detail::crc32ClmulAvailable())
+        kernels.push_back(&detail::crc32Clmul);
+    const std::size_t half = buf.size() / 2;
+    for (std::size_t a = 0; a <= half; ++a) {
+        for (std::size_t b = 0; b <= half; ++b) {
+            const std::uint32_t whole = bitwiseCrc32(buf.data(), a + b, 0);
+            for (const CrcKernel kernel : kernels) {
+                ASSERT_EQ(kernel(buf.data() + a, b,
+                                 kernel(buf.data(), a, 0)),
+                          whole)
+                    << "a " << a << " b " << b;
+            }
+        }
+    }
+}
+
 TEST(Protocol, SampleRoundTripIsBitwise)
 {
     Rng rng(7);
@@ -88,6 +176,132 @@ TEST(Protocol, SampleRoundTripIsBitwise)
                       bits(sample.row[i]))
                 << "row[" << i << "]";
     }
+}
+
+std::string
+toHex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string hex;
+    for (const std::uint8_t b : bytes) {
+        hex += digits[b >> 4];
+        hex += digits[b & 0xF];
+    }
+    return hex;
+}
+
+double
+fromBits(std::uint64_t u)
+{
+    double v;
+    std::memcpy(&v, &u, sizeof(v));
+    return v;
+}
+
+TEST(Protocol, EncodedBytesUnchangedFromParent)
+{
+    // Protocol version 1 frames as the byte-at-a-time encoder wrote
+    // them: any encoder must reproduce these bytes exactly.
+    SampleFrame full;
+    full.tick = 0x0123456789ABCDEFull;
+    full.machineId = "rack0-m07";
+    full.hasMetered = true;
+    full.meteredW = 187.25;
+    full.row.resize(186);
+    for (std::size_t i = 0; i < full.row.size(); ++i)
+        full.row[i] = static_cast<double>(i * 37 % 101) * 0.25 - 3.0 +
+                      static_cast<double>(i) * 1024.0;
+    full.row[0] = fromBits(0x7FF80000DEADBEEFull); // NaN payload.
+    full.row[1] = -0.0;
+    full.row[2] = std::numeric_limits<double>::denorm_min();
+    full.row[3] = std::numeric_limits<double>::infinity();
+    full.row[4] = -std::numeric_limits<double>::infinity();
+    std::vector<std::uint8_t> wire;
+    encodeSample(full, wire);
+    EXPECT_EQ(toHex(wire),
+              "43570101ee050000534a0f57efcdab896745230109007261636b302d6d303701"
+              "0000000000686740ba00efbeadde0000f87f0000000000000080010000000000"
+              "0000000000000000f07f000000000000f0ff000000000012b440000000000002"
+              "b84000000000400bbc4000000000400ac040000000004002c24000000000e006"
+              "c44000000000e0fec540000000008003c840000000002008ca40000000002000"
+              "cc4000000000c004ce4000000000b004d04000000000b000d140000000000003"
+              "d240000000005005d340000000005001d44000000000a003d54000000000a0ff"
+              "d54000000000f001d740000000004004d840000000004000d940000000009002"
+              "da4000000000e004db4000000000e000dc40000000003003dd40000000008005"
+              "de40000000008001df4000000000e801e04000000000e87fe040000000001001"
+              "e140000000003882e140000000003800e240000000006081e240000000008802"
+              "e340000000008880e34000000000b001e44000000000b07fe44000000000d800"
+              "e540000000000082e540000000000000e640000000002881e640000000005002"
+              "e740000000005080e740000000007801e84000000000a082e84000000000a000"
+              "e94000000000c881e94000000000c8ffe94000000000f080ea40000000001802"
+              "eb40000000001880eb40000000004001ec40000000006882ec40000000006800"
+              "ed40000000009081ed4000000000b802ee4000000000b880ee4000000000e001"
+              "ef4000000000e07fef40000000008400f040000000001841f040000000001880"
+              "f04000000000acc0f040000000004001f140000000004040f14000000000d480"
+              "f14000000000d4bff140000000006800f24000000000fc40f24000000000fc7f"
+              "f2400000000090c0f240000000002401f340000000002440f34000000000b880"
+              "f340000000004cc1f340000000004c00f44000000000e040f44000000000e07f"
+              "f4400000000074c0f440000000000801f540000000000840f540000000009c80"
+              "f5400000000030c1f540000000003000f64000000000c440f640000000005881"
+              "f6400000000058c0f64000000000ec00f74000000000ec3ff740000000008080"
+              "f7400000000014c1f740000000001400f84000000000a840f840000000003c81"
+              "f840000000003cc0f84000000000d000f94000000000d03ff940000000006480"
+              "f94000000000f8c0f94000000000f8fff940000000008c40fa40000000002081"
+              "fa400000000020c0fa4000000000b400fb40000000004841fb40000000004880"
+              "fb4000000000dcc0fb4000000000dcfffb40000000007040fc40000000000481"
+              "fc400000000004c0fc40000000009800fd40000000002c41fd40000000002c80"
+              "fd4000000000c0c0fd40000000005401fe40000000005440fe4000000000e880"
+              "fe4000000000e8bffe40000000007c00ff40000000001041ff40000000001080"
+              "ff4000000000a4c0ff40000000009c000041000000001c200041000000006640"
+              "004100000000b06000410000000030800041000000007aa0004100000000fabf"
+              "00410000000044e00041000000008e000141000000000e200141000000005840"
+              "014100000000a26001410000000022800141000000006ca0014100000000ecbf"
+              "01410000000036e0014100000000800002410000000000200241000000004a40"
+              "024100000000946002410000000014800241000000005ea0024100000000a8c0"
+              "02410000000028e00241000000007200034100000000f21f0341000000003c40"
+              "0341000000008660034100000000068003410000000050a00341000000009ac0"
+              "0341000000001ae00341000000006400044100000000ae200441000000002e40"
+              "0441000000007860044100000000f87f04410000000042a00441000000008cc0"
+              "0441000000000ce00441000000005600054100000000a0200541000000002040"
+              "0541000000006a60054100000000ea7f05410000000034a00541000000007ec0"
+              "054100000000fedf054100000000480006410000000092200641000000001240"
+              "0641000000005c60064100000000a68006410000000026a006410000000070c0"
+              "064100000000f0df0641000000003a0007410000000084200741");
+
+    SampleFrame unmetered;
+    unmetered.tick = 42;
+    unmetered.machineId = "m";
+    unmetered.hasMetered = false;
+    unmetered.row = {1.0, -2.5, 1e300};
+    wire.clear();
+    encodeSample(unmetered, wire);
+    EXPECT_EQ(toHex(wire),
+              "435701012e0000000a976b3b2a0000000000000001006d00000000000000f87f"
+              "0300000000000000f03f00000000000004c09c7500883ce4377e");
+
+    CreditFrame credit;
+    credit.acceptedTotal = 0x0102030405060708ull;
+    credit.rejectedTotal = 17;
+    credit.granted = 128;
+    wire.clear();
+    encodeCredit(credit, wire);
+    EXPECT_EQ(toHex(wire),
+              "435701021400000014fe9d600807060504030201110000000000000080000000");
+
+    NackFrame nack;
+    nack.rejectedTotal = 99;
+    nack.reason = NackReason::UnknownMachine;
+    wire.clear();
+    encodeNack(nack, wire);
+    EXPECT_EQ(toHex(wire),
+              "4357010309000000712b3c1e630000000000000002");
+
+    IntrospectFrame introspect;
+    introspect.seq = 0xFEEDFACEull;
+    wire.clear();
+    encodeIntrospect(introspect, wire);
+    EXPECT_EQ(toHex(wire),
+              "43570104080000002b52fd78cefaedfe00000000");
 }
 
 TEST(Protocol, CreditAndNackRoundTrip)
@@ -187,6 +401,42 @@ TEST(Protocol, InterleavedRandomChunksDecodeAll)
     EXPECT_EQ(decoded, frames);
 }
 
+TEST(Protocol, PreparedReadsDecodeAll)
+{
+    // A transport reads into prepare()'s space and commits less than
+    // it asked for, as a socket read does; partial frames left at the
+    // end slide to the front as the buffer is reused.
+    Rng rng(41);
+    std::vector<std::uint8_t> wire;
+    std::vector<std::uint64_t> ticks;
+    for (int i = 0; i < 200; ++i) {
+        const SampleFrame sample = makeSample(rng, rng.uniformInt(190));
+        ticks.push_back(sample.tick);
+        encodeSample(sample, wire);
+    }
+
+    FrameReader reader;
+    Frame frame;
+    std::size_t decoded = 0;
+    std::size_t off = 0;
+    while (off < wire.size()) {
+        const std::size_t chunk = std::min<std::size_t>(
+            1 + rng.uniformInt(4096), wire.size() - off);
+        std::uint8_t *dst = reader.prepare(4096);
+        std::memcpy(dst, wire.data() + off, chunk);
+        reader.commit(chunk);
+        off += chunk;
+        while (reader.next(frame) == DecodeStatus::Ok) {
+            ASSERT_LT(decoded, ticks.size());
+            EXPECT_EQ(frame.sample.tick, ticks[decoded]);
+            ++decoded;
+        }
+        ASSERT_TRUE(reader.error().empty()) << reader.error();
+    }
+    EXPECT_EQ(decoded, ticks.size());
+    EXPECT_EQ(reader.buffered(), 0u);
+}
+
 TEST(Protocol, FuzzMutatedFramesNeverAccepted)
 {
     Rng rng(23);
@@ -196,9 +446,15 @@ TEST(Protocol, FuzzMutatedFramesNeverAccepted)
     while (mutations < 12000) {
         wire.clear();
         switch (rng.uniformInt(3)) {
-        case 0:
-            encodeSample(makeSample(rng, rng.uniformInt(32)), wire);
+        case 0: {
+            // Widths 0..31 put mutated payloads on both sides of the
+            // CRC's 64-byte kernel threshold; a quarter are a full
+            // catalog row.
+            const std::size_t width =
+                rng.uniformInt(4) == 0 ? 186 : rng.uniformInt(32);
+            encodeSample(makeSample(rng, width), wire);
             break;
+        }
         case 1: {
             CreditFrame credit;
             credit.acceptedTotal = rng.nextU64();
