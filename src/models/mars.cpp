@@ -58,7 +58,6 @@ struct ForwardState
     Matrix gram;
     std::vector<double> bty;
     double yty = 0.0;
-    size_t numRows = 0;
 };
 
 /**
@@ -97,51 +96,6 @@ gramRss(const Matrix &gram, const std::vector<double> &bty, double yty)
     for (size_t i = 0; i < b.size(); ++i)
         fit += b[i] * bty[i];
     return std::max(0.0, yty - fit);
-}
-
-/** Evaluate RSS if two candidate columns join the current basis. */
-double
-candidateRss(const ForwardState &st, const std::vector<double> &c1,
-             const std::vector<double> &c2,
-             const std::vector<double> &y)
-{
-    const size_t m = st.columns.size();
-    Matrix gram(m + 2, m + 2);
-    for (size_t i = 0; i < m; ++i) {
-        for (size_t j = 0; j < m; ++j)
-            gram(i, j) = st.gram(i, j);
-    }
-
-    std::vector<double> bty(m + 2);
-    for (size_t i = 0; i < m; ++i)
-        bty[i] = st.bty[i];
-
-    const size_t n = st.numRows;
-    double c1y = 0.0, c2y = 0.0, c11 = 0.0, c22 = 0.0, c12 = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-        c1y += c1[r] * y[r];
-        c2y += c2[r] * y[r];
-        c11 += c1[r] * c1[r];
-        c22 += c2[r] * c2[r];
-        c12 += c1[r] * c2[r];
-    }
-    for (size_t i = 0; i < m; ++i) {
-        const auto &col = st.columns[i];
-        double d1 = 0.0, d2 = 0.0;
-        for (size_t r = 0; r < n; ++r) {
-            d1 += col[r] * c1[r];
-            d2 += col[r] * c2[r];
-        }
-        gram(i, m) = gram(m, i) = d1;
-        gram(i, m + 1) = gram(m + 1, i) = d2;
-    }
-    gram(m, m) = c11;
-    gram(m + 1, m + 1) = c22;
-    gram(m, m + 1) = gram(m + 1, m) = c12;
-    bty[m] = c1y;
-    bty[m + 1] = c2y;
-
-    return gramRss(gram, bty, st.yty);
 }
 
 /**
@@ -341,10 +295,11 @@ scoreChain(const Matrix &colsRM, const EquilibratedFactor &ef,
         // not exceptional: a second hinge pair on an already-split
         // feature satisfies up - down = x - t, which is linear in x
         // and hence in-span, leaving the Schur complement rank-1
-        // singular. Mirror the reference path's escalating ridge
-        // instead of rejecting: the in-span direction carries no
-        // residual correlation, so the ridge merely suppresses it
-        // while the genuinely new direction (the kink) survives.
+        // singular. Escalate a ridge, as Cholesky::factorRidged does
+        // on the full bordered system, instead of rejecting: the
+        // in-span direction carries no residual correlation, so the
+        // ridge merely suppresses it while the genuinely new
+        // direction (the kink) survives.
         double s11r = s11, s22r = s22;
         double det = s11r * s22r - s12 * s12;
         double ridge = 0.0;
@@ -482,22 +437,20 @@ MarsModel::fit(const Matrix &x, const std::vector<double> &y)
     }
 
     // Rows sorted by feature value (ascending, stable), computed once
-    // per feature: the incremental search sweeps them per knot chain.
+    // per feature: the forward search sweeps them per knot chain.
     std::vector<std::vector<size_t>> featOrder(p);
-    if (cfg.incrementalSearch) {
-        for (size_t f = 0; f < p; ++f) {
-            if (knots[f].empty())
-                continue;
-            auto &ord = featOrder[f];
-            ord.resize(n);
-            for (size_t i = 0; i < n; ++i)
-                ord[i] = i;
-            const auto &vals = featVals[f];
-            std::stable_sort(ord.begin(), ord.end(),
-                             [&vals](size_t a, size_t b) {
-                                 return vals[a] < vals[b];
-                             });
-        }
+    for (size_t f = 0; f < p; ++f) {
+        if (knots[f].empty())
+            continue;
+        auto &ord = featOrder[f];
+        ord.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            ord[i] = i;
+        const auto &vals = featVals[f];
+        std::stable_sort(ord.begin(), ord.end(),
+                         [&vals](size_t a, size_t b) {
+                             return vals[a] < vals[b];
+                         });
     }
 
     // --- Forward pass. ---
@@ -505,7 +458,6 @@ MarsModel::fit(const Matrix &x, const std::vector<double> &y)
     basis.push_back(BasisTerm{});   // Intercept.
 
     ForwardState st;
-    st.numRows = n;
     st.columns.push_back(std::vector<double>(n, 1.0));
     st.gram = Matrix(1, 1);
     st.gram(0, 0) = static_cast<double>(n);
@@ -521,7 +473,6 @@ MarsModel::fit(const Matrix &x, const std::vector<double> &y)
                                static_cast<double>(n)));
 
     obs::Span forward_span("mars.forward");
-    std::vector<double> cand1(n), cand2(n);
     while (basis.size() + 2 <= cfg.maxTerms) {
         obs::Span iter_span("mars.forward_iter");
         forward_iters.add();
@@ -529,132 +480,70 @@ MarsModel::fit(const Matrix &x, const std::vector<double> &y)
         size_t best_parent = 0, best_feature = 0;
         double best_knot = 0.0;
         bool found = false;
-        std::vector<double> best_c1, best_c2;
 
-        if (cfg.incrementalSearch) {
-            // Flatten eligible (parent, feature) chains in the legacy
-            // parent -> feature enumeration order.
-            struct Chain
-            {
-                size_t parent;
-                size_t feature;
-            };
-            std::vector<Chain> chains;
-            for (size_t parent = 0; parent < basis.size(); ++parent) {
-                if (basis[parent].degree() + 1 > cfg.maxDegree)
+        // Flatten eligible (parent, feature) chains in parent ->
+        // feature enumeration order.
+        struct Chain
+        {
+            size_t parent;
+            size_t feature;
+        };
+        std::vector<Chain> chains;
+        for (size_t parent = 0; parent < basis.size(); ++parent) {
+            if (basis[parent].degree() + 1 > cfg.maxDegree)
+                continue;
+            for (size_t f = 0; f < p; ++f) {
+                if (knots[f].empty() || basis[parent].usesFeature(f))
                     continue;
-                for (size_t f = 0; f < p; ++f) {
-                    if (knots[f].empty() ||
-                        basis[parent].usesFeature(f))
-                        continue;
-                    chains.push_back({parent, f});
-                }
+                chains.push_back({parent, f});
             }
+        }
 
-            // Row-major snapshot of the basis columns: the sweeps
-            // read every column of one row at a time.
-            obs::Span factor_span("mars.cholesky_factor");
-            const size_t m = st.columns.size();
-            Matrix colsRM(n, m);
-            for (size_t i = 0; i < n; ++i) {
-                double *dst = colsRM.rowPtr(i);
-                for (size_t j = 0; j < m; ++j)
-                    dst[j] = st.columns[j][i];
-            }
-            const EquilibratedFactor ef =
-                factorForwardState(st.gram, st.bty);
-            factor_span.end();
+        // Row-major snapshot of the basis columns: the sweeps
+        // read every column of one row at a time.
+        obs::Span factor_span("mars.cholesky_factor");
+        const size_t m = st.columns.size();
+        Matrix colsRM(n, m);
+        for (size_t i = 0; i < n; ++i) {
+            double *dst = colsRM.rowPtr(i);
+            for (size_t j = 0; j < m; ++j)
+                dst[j] = st.columns[j][i];
+        }
+        const EquilibratedFactor ef =
+            factorForwardState(st.gram, st.bty);
+        factor_span.end();
 
-            // Workers score chains against shared read-only state;
-            // each writes only its own result slot.
-            obs::Span sweep_span("mars.knot_sweep");
-            const auto results = parallelMap<ChainBest>(
-                chains.size(), [&](size_t c) {
-                    const auto &ch = chains[c];
-                    return scoreChain(colsRM, ef,
-                                      featVals[ch.feature],
-                                      featOrder[ch.feature],
-                                      knots[ch.feature], ys,
-                                      st.columns[ch.parent],
-                                      min_support, st.yty);
-                });
-            sweep_span.end();
-            chains_scored.add(chains.size());
-            {
-                std::uint64_t total_knots = 0;
-                for (const auto &ch : chains)
-                    total_knots += knots[ch.feature].size();
-                knots_scored.add(total_knots);
-            }
-            // Serial reduction in enumeration order; strict < keeps
-            // the earliest winner on ties like the reference scan.
-            for (size_t c = 0; c < chains.size(); ++c) {
-                if (results[c].valid && results[c].rss < best_rss) {
-                    best_rss = results[c].rss;
-                    best_parent = chains[c].parent;
-                    best_feature = chains[c].feature;
-                    best_knot =
-                        knots[chains[c].feature][results[c].knot];
-                    found = true;
-                }
-            }
-            if (found) {
-                // Materialize the winning pair hinge-exact (not via
-                // prefix sums): the committed state must match what
-                // the reference path would have built.
-                const auto &parent_col = st.columns[best_parent];
-                const auto &xvw = featVals[best_feature];
-                best_c1.resize(n);
-                best_c2.resize(n);
-                for (size_t i = 0; i < n; ++i) {
-                    const double up = xvw[i] - best_knot;
-                    best_c1[i] =
-                        parent_col[i] * (up > 0.0 ? up : 0.0);
-                    best_c2[i] =
-                        parent_col[i] * (up < 0.0 ? -up : 0.0);
-                }
-            }
-        } else {
-            obs::Span sweep_span("mars.knot_sweep");
-            for (size_t parent = 0; parent < basis.size(); ++parent) {
-                if (basis[parent].degree() + 1 > cfg.maxDegree)
-                    continue;
-                const auto &parent_col = st.columns[parent];
-                for (size_t f = 0; f < p; ++f) {
-                    if (knots[f].empty() ||
-                        basis[parent].usesFeature(f))
-                        continue;
-                    chains_scored.add();
-                    knots_scored.add(knots[f].size());
-                    for (double t : knots[f]) {
-                        size_t support1 = 0, support2 = 0;
-                        for (size_t i = 0; i < n; ++i) {
-                            const double up = featVals[f][i] - t;
-                            cand1[i] =
-                                parent_col[i] * (up > 0.0 ? up : 0.0);
-                            cand2[i] =
-                                parent_col[i] * (up < 0.0 ? -up : 0.0);
-                            support1 += cand1[i] != 0.0;
-                            support2 += cand2[i] != 0.0;
-                        }
-                        // Reject thinly-supported corners outright.
-                        if (support1 < min_support ||
-                            support2 < min_support) {
-                            continue;
-                        }
-                        const double rss =
-                            candidateRss(st, cand1, cand2, ys);
-                        if (rss < best_rss) {
-                            best_rss = rss;
-                            best_parent = parent;
-                            best_feature = f;
-                            best_knot = t;
-                            best_c1 = cand1;
-                            best_c2 = cand2;
-                            found = true;
-                        }
-                    }
-                }
+        // Workers score chains against shared read-only state;
+        // each writes only its own result slot.
+        obs::Span sweep_span("mars.knot_sweep");
+        const auto results = parallelMap<ChainBest>(
+            chains.size(), [&](size_t c) {
+                const auto &ch = chains[c];
+                return scoreChain(colsRM, ef,
+                                  featVals[ch.feature],
+                                  featOrder[ch.feature],
+                                  knots[ch.feature], ys,
+                                  st.columns[ch.parent],
+                                  min_support, st.yty);
+            });
+        sweep_span.end();
+        chains_scored.add(chains.size());
+        {
+            std::uint64_t total_knots = 0;
+            for (const auto &ch : chains)
+                total_knots += knots[ch.feature].size();
+            knots_scored.add(total_knots);
+        }
+        // Serial reduction in enumeration order; strict < keeps
+        // the earliest winner on ties, as a serial scan would.
+        for (size_t c = 0; c < chains.size(); ++c) {
+            if (results[c].valid && results[c].rss < best_rss) {
+                best_rss = results[c].rss;
+                best_parent = chains[c].parent;
+                best_feature = chains[c].feature;
+                best_knot =
+                    knots[chains[c].feature][results[c].knot];
+                found = true;
             }
         }
 
@@ -665,14 +554,23 @@ MarsModel::fit(const Matrix &x, const std::vector<double> &y)
         }
 
         // Commit the winning pair: extend basis, columns, and Gram.
+        // The columns are materialized hinge-exact, not via prefix
+        // sums, so the committed state is what an exhaustive search
+        // that evaluated every candidate column would have built.
         for (int dir : {+1, -1}) {
             BasisTerm term = basis[best_parent];
             term.hinges.push_back(Hinge{best_feature, best_knot, dir});
             basis.push_back(std::move(term));
         }
-        const size_t m = st.columns.size();
-        st.columns.push_back(best_c1);
-        st.columns.push_back(best_c2);
+        std::vector<double> up_col(n), down_col(n);
+        for (size_t i = 0; i < n; ++i) {
+            const double parent = st.columns[best_parent][i];
+            const double up = featVals[best_feature][i] - best_knot;
+            up_col[i] = parent * (up > 0.0 ? up : 0.0);
+            down_col[i] = parent * (up < 0.0 ? -up : 0.0);
+        }
+        st.columns.push_back(std::move(up_col));
+        st.columns.push_back(std::move(down_col));
         Matrix gram(m + 2, m + 2);
         for (size_t i = 0; i < m; ++i) {
             for (size_t j = 0; j < m; ++j)

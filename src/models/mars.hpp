@@ -7,6 +7,12 @@
  * bases) with the classic forward pass / GCV backward pruning
  * structure. Hinges are B+(x,t) = max(0, x-t) and B-(x,t) =
  * max(0, t-x); knots t are chosen from training-data quantiles.
+ *
+ * The forward pass scores each (parent, feature) knot chain with
+ * prefix-sum sweeps over the rows and bordered rank-2 solves against
+ * one shared Cholesky factor of the current Gram matrix, chains in
+ * parallel; up to round-off it picks the pair an exhaustive
+ * per-candidate refit would pick.
  */
 #ifndef CHAOS_MODELS_MARS_HPP
 #define CHAOS_MODELS_MARS_HPP
@@ -73,17 +79,6 @@ struct MarsConfig
      * the feature space.
      */
     double minBasisSupport = 0.03;
-    /**
-     * Use the incremental forward search: per-(parent, feature) knot
-     * sweeps with prefix sums share one pass over the rows across all
-     * knots, candidates reuse a single equilibrated Cholesky
-     * factorization of the current Gram through bordered rank-2
-     * solves, and chains are scored in parallel. False restores the
-     * reference search that rebuilds and re-factors the extended
-     * Gram system per candidate — kept as the perf-benchmark
-     * baseline and as a cross-check oracle in tests.
-     */
-    bool incrementalSearch = true;
 };
 
 /** MARS power model (degree 1 or 2). */

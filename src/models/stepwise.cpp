@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "linalg/cholesky.hpp"
-#include "linalg/solve.hpp"
 #include "models/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -14,33 +13,30 @@
 
 namespace chaos {
 
-namespace {
-
-/** Count of features eliminated, across both stepwise paths. */
-obs::Counter &
-stepwiseDropCounter()
-{
-    static auto &drops =
-        obs::Registry::instance().counter("chaos.stepwise.drops");
-    return drops;
-}
-
-/**
- * Incremental elimination: the Gram matrix of the full intercept-
- * augmented design is computed once, and each elimination step drops
- * one column from the running Cholesky factorization (O(k^2)) rather
- * than rebuilding the design matrix and re-factoring X'X (O(n k^2 +
- * k^3) per step). Gram entries of a column subset are independent of
- * the other columns, so coefficients match the reference refit
- * bit-for-bit whenever no stabilizing ridge fires; RSS is evaluated
- * through the quadratic form yty - 2 b'g + b'Gb instead of explicit
- * residuals, which only perturbs the Wald statistics at round-off
- * level.
+/*
+ * The Gram matrix of the full intercept-augmented design is computed
+ * once, and each elimination step drops one column from the running
+ * Cholesky factorization (O(k^2)) rather than rebuilding the design
+ * matrix and re-factoring X'X (O(n k^2 + k^3) per step). Gram entries
+ * of a column subset are independent of the other columns, so
+ * coefficients match a per-step least-squares refit bit-for-bit
+ * whenever no stabilizing ridge fires; RSS is evaluated through the
+ * quadratic form yty - 2 b'g + b'Gb instead of explicit residuals,
+ * which only perturbs the Wald statistics at round-off level. The
+ * per-step refit survives as the reference oracle in the tests.
  */
 StepwiseResult
-eliminateReusingGram(const Matrix &x, const std::vector<double> &y,
-                     const StepwiseConfig &config)
+stepwiseEliminate(const Matrix &x, const std::vector<double> &y,
+                  const StepwiseConfig &config)
 {
+    panicIf(x.rows() != y.size(), "stepwise shape mismatch");
+    panicIf(x.cols() == 0, "stepwise: no features");
+
+    obs::Span span("stepwise.eliminate");
+    static auto &runs =
+        obs::Registry::instance().counter("chaos.stepwise.runs");
+    runs.add();
+
     const Matrix design = withIntercept(x);
     panicIf(design.rows() < design.cols(),
             "stepwise: fewer observations than parameters");
@@ -120,7 +116,9 @@ eliminateReusingGram(const Matrix &x, const std::vector<double> &y,
         }
         result.removedFeatures.push_back(active[worst + 1] - 1);
         active.erase(active.begin() + static_cast<long>(worst + 1));
-        stepwiseDropCounter().add();
+        static auto &drops =
+            obs::Registry::instance().counter("chaos.stepwise.drops");
+        drops.add();
         if (chol->appliedRidge() > 0.0) {
             // A stabilizing ridge is tied to the column set it was
             // computed for; re-factor rather than carry it along.
@@ -128,68 +126,6 @@ eliminateReusingGram(const Matrix &x, const std::vector<double> &y,
         } else {
             chol = chol->dropColumn(worst + 1);
         }
-    }
-    panic("stepwiseEliminate failed to converge");
-}
-
-} // namespace
-
-StepwiseResult
-stepwiseEliminate(const Matrix &x, const std::vector<double> &y,
-                  const StepwiseConfig &config)
-{
-    panicIf(x.rows() != y.size(), "stepwise shape mismatch");
-    panicIf(x.cols() == 0, "stepwise: no features");
-
-    obs::Span span("stepwise.eliminate");
-    static auto &runs =
-        obs::Registry::instance().counter("chaos.stepwise.runs");
-    runs.add();
-
-    if (config.reuseGram)
-        return eliminateReusingGram(x, y, config);
-
-    StepwiseResult result;
-    std::vector<size_t> kept(x.cols());
-    for (size_t i = 0; i < kept.size(); ++i)
-        kept[i] = i;
-
-    for (size_t iter = 0; iter < config.maxIterations; ++iter) {
-        const Matrix design = withIntercept(x.selectColumns(kept));
-        const auto ls = leastSquares(design, y, true);
-
-        // Wald statistic per feature column (skip the intercept).
-        std::vector<double> p_values(kept.size());
-        size_t worst = kept.size();
-        double worst_p = -1.0;
-        for (size_t i = 0; i < kept.size(); ++i) {
-            const double se = ls.stdErrors[i + 1];
-            const double coef = ls.coefficients[i + 1];
-            double p;
-            if (se <= 1e-300) {
-                // Zero standard error with a zero coefficient means
-                // a degenerate (e.g. constant) column: drop first.
-                p = std::fabs(coef) <= 1e-12 ? 1.0 : 0.0;
-            } else {
-                p = waldPValue(coef / se);
-            }
-            p_values[i] = p;
-            if (p > worst_p) {
-                worst_p = p;
-                worst = i;
-            }
-        }
-
-        const bool can_remove = kept.size() > config.minFeatures;
-        if (!can_remove || worst_p <= config.alpha) {
-            result.keptFeatures = kept;
-            result.coefficients = ls.coefficients;
-            result.pValues = p_values;
-            return result;
-        }
-        result.removedFeatures.push_back(kept[worst]);
-        kept.erase(kept.begin() + static_cast<long>(worst));
-        stepwiseDropCounter().add();
     }
     panic("stepwiseEliminate failed to converge");
 }

@@ -37,19 +37,13 @@ struct StepwiseConfig
     size_t minFeatures = 1;
     /** Remove at most one feature per refit (always true here). */
     size_t maxIterations = 1000;
-    /**
-     * Compute the full-design Gram matrix once and drop columns via
-     * O(k^2) Cholesky downdates instead of rebuilding the design and
-     * re-factoring X'X on every elimination step. False restores the
-     * reference per-iteration refit — kept as the perf-benchmark
-     * baseline and as a cross-check oracle in tests.
-     */
-    bool reuseGram = true;
 };
 
 /**
  * Run backward stepwise elimination of @p x's columns against @p y.
- * An intercept is always included and never eliminated.
+ * An intercept is always included and never eliminated. The Gram
+ * matrix of the full design is formed once; each elimination step
+ * drops a column from its Cholesky factor by an O(k^2) downdate.
  */
 StepwiseResult stepwiseEliminate(const Matrix &x,
                                  const std::vector<double> &y,

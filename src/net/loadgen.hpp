@@ -1,8 +1,8 @@
 /**
  * @file
  * LoadGenerator: a multi-connection ingest load harness built on
- * IngestClient — the engine behind `chaos loadgen`, the multi-client
- * soak test, and bench/net_ingest.
+ * IngestClient — the engine behind `chaos loadgen` and the
+ * multi-client soak and accounting tests.
  *
  * N connections are spread over W worker threads; each connection
  * round-robins synthetic samples across the fleet's machine ids at a

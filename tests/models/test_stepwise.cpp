@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/solve.hpp"
+#include "models/model.hpp"
 #include "models/stepwise.hpp"
+#include "stats/distributions.hpp"
 #include "util/random.hpp"
 
 namespace chaos {
@@ -120,6 +123,60 @@ TEST(Stepwise, CoefficientsIncludeIntercept)
     EXPECT_NEAR(result.coefficients[0], 100.0, 0.1);
 }
 
+/**
+ * Reference oracle: the textbook elimination that rebuilds the design
+ * and refits least squares on every step. stepwiseEliminate() must
+ * agree with it on the elimination order and the final model.
+ */
+StepwiseResult
+referenceStepwise(const Matrix &x, const std::vector<double> &y,
+                  const StepwiseConfig &config)
+{
+    StepwiseResult result;
+    std::vector<size_t> kept(x.cols());
+    for (size_t i = 0; i < kept.size(); ++i)
+        kept[i] = i;
+
+    for (size_t iter = 0; iter < config.maxIterations; ++iter) {
+        const Matrix design = withIntercept(x.selectColumns(kept));
+        const auto ls = leastSquares(design, y, true);
+
+        // Wald statistic per feature column (skip the intercept).
+        std::vector<double> p_values(kept.size());
+        size_t worst = kept.size();
+        double worst_p = -1.0;
+        for (size_t i = 0; i < kept.size(); ++i) {
+            const double se = ls.stdErrors[i + 1];
+            const double coef = ls.coefficients[i + 1];
+            double p;
+            if (se <= 1e-300) {
+                // Zero standard error with a zero coefficient means
+                // a degenerate (e.g. constant) column: drop first.
+                p = std::fabs(coef) <= 1e-12 ? 1.0 : 0.0;
+            } else {
+                p = waldPValue(coef / se);
+            }
+            p_values[i] = p;
+            if (p > worst_p) {
+                worst_p = p;
+                worst = i;
+            }
+        }
+
+        const bool can_remove = kept.size() > config.minFeatures;
+        if (!can_remove || worst_p <= config.alpha) {
+            result.keptFeatures = kept;
+            result.coefficients = ls.coefficients;
+            result.pValues = p_values;
+            return result;
+        }
+        result.removedFeatures.push_back(kept[worst]);
+        kept.erase(kept.begin() + static_cast<long>(worst));
+    }
+    ADD_FAILURE() << "referenceStepwise failed to converge";
+    return result;
+}
+
 TEST(Stepwise, GramReuseMatchesReferenceRefit)
 {
     // The downdate-based elimination reads the same Gram entries the
@@ -135,13 +192,9 @@ TEST(Stepwise, GramReuseMatchesReferenceRefit)
         y[i] = 1.5 * x(i, 0) - 2.0 * x(i, 3) + 0.8 * x(i, 6) +
                rng.normal(0, 0.4);
     }
-    StepwiseConfig fast;
-    fast.reuseGram = true;
-    const StepwiseResult a = stepwiseEliminate(x, y, fast);
-
-    StepwiseConfig reference = fast;
-    reference.reuseGram = false;
-    const StepwiseResult b = stepwiseEliminate(x, y, reference);
+    const StepwiseConfig config;
+    const StepwiseResult a = stepwiseEliminate(x, y, config);
+    const StepwiseResult b = referenceStepwise(x, y, config);
 
     ASSERT_EQ(a.keptFeatures, b.keptFeatures);
     ASSERT_EQ(a.removedFeatures, b.removedFeatures);

@@ -6,6 +6,7 @@
  * target.
  */
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -104,38 +105,58 @@ TEST(LoadGen, MeteredEveryAttachesPeriodicReadings)
 
 TEST(LoadGen, RunAgainstLiveServerAggregatesExactly)
 {
-    serve::FleetServer fleet;
-    const MachinePowerModel model = makeTestModel(3);
-    for (int i = 0; i < 3; ++i)
-        fleet.addMachine("machine" + std::to_string(i), model);
-    ChaosIngestServer ingest(fleet);
-    ingest.start();
-    fleet.start();
+    // One connection, a few, and more connections than workers: the
+    // accounting must be exact at every point of the sweep.
+    for (const std::size_t connections : {1u, 8u, 64u}) {
+        SCOPED_TRACE("connections " + std::to_string(connections));
+        LoadGenConfig cfg = baseConfig();
+        cfg.connections = connections;
+        cfg.samplesPerConnection = 250;
+        cfg.rowSize = CounterCatalog::instance().size();
+        cfg.window = 128;
+        cfg.workers = 4;
 
-    LoadGenConfig cfg = baseConfig();
-    cfg.port = ingest.port();
-    cfg.connections = 4;
-    cfg.samplesPerConnection = 250;
-    cfg.rowSize = CounterCatalog::instance().size();
-    cfg.workers = 2;
-    LoadGenerator gen(cfg);
-    const LoadGenReport report = gen.run();
+        serve::FleetServerConfig fleetConfig;
+        // Credits acknowledge acceptance into a queue, not
+        // processing, so the window alone does not bound queue depth
+        // when the drainer is starved of CPU. Every shard holds the
+        // whole run (more than connections x window), so a reject
+        // here is an accounting bug, not load.
+        fleetConfig.queueCapacity =
+            connections * cfg.samplesPerConnection;
+        serve::FleetServer fleet(fleetConfig);
+        const MachinePowerModel model = makeTestModel(3);
+        for (const std::string &id : cfg.machineIds)
+            fleet.addMachine(id, model);
+        ChaosIngestServer ingest(fleet);
+        ingest.start();
+        fleet.start();
 
-    EXPECT_EQ(report.connectionsFailed, 0u) << report.firstError;
-    EXPECT_EQ(report.sent, 4u * 250u);
-    EXPECT_EQ(report.accepted + report.rejected, report.sent);
-    EXPECT_GT(report.elapsedSec, 0.0);
-    EXPECT_GT(report.sentPerSec, 0.0);
-    EXPECT_GE(report.p99LatencyMs, report.p50LatencyMs);
-    EXPECT_GE(report.maxLatencyMs, report.p99LatencyMs);
+        cfg.port = ingest.port();
+        LoadGenerator gen(cfg);
+        const LoadGenReport report = gen.run();
 
-    fleet.waitIdle();
-    ingest.stop();
-    fleet.stop();
-    EXPECT_EQ(fleet.processed(), report.accepted);
+        EXPECT_EQ(report.connectionsFailed, 0u) << report.firstError;
+        EXPECT_EQ(report.sent, connections * 250u);
+        EXPECT_EQ(report.accepted + report.rejected, report.sent);
+        EXPECT_EQ(report.rejected, 0u);
+        EXPECT_GT(report.elapsedSec, 0.0);
+        EXPECT_GT(report.sentPerSec, 0.0);
+        EXPECT_GE(report.p99LatencyMs, report.p50LatencyMs);
+        EXPECT_GE(report.maxLatencyMs, report.p99LatencyMs);
 
-    obs::JsonValue parsed;
-    EXPECT_TRUE(obs::jsonParse(report.toJson(), parsed));
+        fleet.waitIdle();
+        const IngestStats stats = ingest.stats();
+        ingest.stop();
+        fleet.stop();
+        EXPECT_EQ(stats.badFrames, 0u);
+        EXPECT_EQ(stats.connectionsDropped, 0u);
+        EXPECT_EQ(stats.connectionsAccepted, connections);
+        EXPECT_EQ(fleet.processed(), report.accepted);
+
+        obs::JsonValue parsed;
+        EXPECT_TRUE(obs::jsonParse(report.toJson(), parsed));
+    }
 }
 
 TEST(LoadGen, PacedRateStretchesTheRun)
