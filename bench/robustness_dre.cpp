@@ -14,8 +14,9 @@
  *    clamped to the machine's [Pidle, Pmax] envelope, so per-machine
  *    error never exceeds the dynamic range (Pmax - Pidle);
  *  - a machine whose telemetry disappears entirely is declared Lost
- *    and substituted, and the cluster total remains finite with the
- *    lost machine's contribution within the dynamic-range bound.
+ *    and substituted, and the served cluster total (a FleetServer
+ *    snapshot) remains finite with the lost machine's contribution
+ *    within the dynamic-range bound.
  */
 #include <cmath>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include "faults/injectors.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "serve/server.hpp"
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
 
@@ -92,10 +94,13 @@ sweepProfile(const ClusterCampaign &campaign,
 }
 
 /**
- * Lost-machine drill: warm an estimator up on clean telemetry, then
- * cut its feed entirely. The estimator must transition to Lost, keep
- * every substitute inside the physical envelope, and therefore keep
- * the machine's error within the dynamic range.
+ * Lost-machine drill on the served path: three machines in an
+ * in-process FleetServer, one sample each plus one drain pass per
+ * tick, warmed up on clean telemetry before machine 0's feed is cut
+ * entirely. The fleet snapshot must show the machine Lost and keep
+ * the cluster total finite, and the estimator's substitute must stay
+ * inside the physical envelope, keeping the machine's error within
+ * the dynamic range.
  */
 bool
 lostMachineBoundHolds(const ClusterCampaign &campaign,
@@ -107,26 +112,35 @@ lostMachineBoundHolds(const ClusterCampaign &campaign,
         CounterCatalog::instance().size(),
         std::numeric_limits<double>::quiet_NaN());
 
-    ClusterPowerEstimator cluster;
-    const size_t machines = 3;
-    for (size_t m = 0; m < machines; ++m)
-        cluster.addMachine(model, OnlineEstimatorConfig::forSpec(spec));
+    serve::FleetServer server;
+    std::vector<serve::MachineEntry *> machines;
+    for (size_t m = 0; m < 3; ++m) {
+        machines.push_back(&server.addMachine(
+            "machine" + std::to_string(m), model,
+            OnlineEstimatorConfig::forSpec(spec)));
+    }
+    const auto tick = [&](const std::vector<double> &row0,
+                          const std::vector<double> &row) {
+        server.submitTo(*machines[0], row0);
+        server.submitTo(*machines[1], row);
+        server.submitTo(*machines[2], row);
+        server.drainOnce();
+        return server.snapshot();
+    };
 
     bool ok = true;
     const size_t warmup = std::min<size_t>(40, records.size());
-    for (size_t t = 0; t < warmup; ++t) {
-        cluster.estimateCluster(
-            {records[t].counters, records[t].counters,
-             records[t].counters});
-    }
+    for (size_t t = 0; t < warmup; ++t)
+        tick(records[t].counters, records[t].counters);
     // Machine 0 goes dark; the other two keep reporting.
+    serve::FleetSnapshot snap;
     for (size_t t = warmup; t < records.size(); ++t) {
-        const double total = cluster.estimateCluster(
-            {allNan, records[t].counters, records[t].counters});
-        ok = ok && std::isfinite(total);
+        snap = tick(allNan, records[t].counters);
+        ok = ok && std::isfinite(snap.clusterW);
     }
-    ok = ok && cluster.machineHealth(0) == MachineHealth::Lost;
-    ok = ok && cluster.countInHealth(MachineHealth::Lost) == 1;
+    ok = ok && !snap.machines.empty() &&
+         snap.machines[0].health == MachineHealth::Lost;
+    ok = ok && snap.lost == 1;
 
     // The substitute for the lost machine must sit inside the
     // envelope, which bounds its error by the dynamic range against

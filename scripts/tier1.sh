@@ -50,14 +50,17 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+serve_tmp="$(mktemp -d)"
+trap 'rm -rf "$serve_tmp"' EXIT
+
 echo
 echo "== tier 1: observability overhead smoke (fast mode) =="
-CHAOS_BENCH_FAST=1 ./build/bench/overhead_obs
+# Run in the temp dir: the fast-mode BENCH_obs.json must not clobber
+# the committed full-mode one.
+(cd "$serve_tmp" && CHAOS_BENCH_FAST=1 "$OLDPWD/build/bench/overhead_obs")
 
 echo
 echo "== tier 1: serving overhead smoke (fast mode) =="
-serve_tmp="$(mktemp -d)"
-trap 'rm -rf "$serve_tmp"' EXIT
 # Run in the temp dir: the fast-mode BENCH_serve.json must not
 # clobber the committed full-mode one. The bench exits nonzero on any
 # overhead-budget violation; the schema check below additionally fails

@@ -141,12 +141,8 @@ evaluateTechnique(const Dataset &data, const FeatureSet &featureSet,
             FoldOutcome out;
             const auto &fold = folds[fi];
             // Paper protocol: the small side is the training set.
-            const auto &train_rows = config.trainOnSingleFold
-                                         ? fold.testIndices
-                                         : fold.trainIndices;
-            const auto &test_rows = config.trainOnSingleFold
-                                        ? fold.trainIndices
-                                        : fold.testIndices;
+            const auto &train_rows = fold.testIndices;
+            const auto &test_rows = fold.trainIndices;
             if (train_rows.size() <
                     featureSet.counters.size() + 5 ||
                 test_rows.empty()) {

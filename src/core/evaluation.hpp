@@ -37,14 +37,11 @@ using EnvelopeMap = std::map<int, MachineEnvelope>;
 /** Evaluation knobs. */
 struct EvaluationConfig
 {
-    /** Number of run-grouped folds (paper: 5). */
-    size_t folds = 5;
     /**
-     * Train on a single fold and test on the rest (paper: training
-     * set about ten times smaller than test data). False gives
-     * conventional k-fold.
+     * Number of run-grouped folds (paper: 5). As in the paper, each
+     * fold is a training set and the other folds are its test set.
      */
-    bool trainOnSingleFold = true;
+    size_t folds = 5;
     /** MARS knobs for the piecewise/quadratic techniques. */
     MarsConfig mars;
     /** Seed for the fold assignment. */

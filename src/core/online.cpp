@@ -364,60 +364,4 @@ OnlinePowerEstimator::estimateWithReference(
     return watts;
 }
 
-size_t
-ClusterPowerEstimator::addMachine(MachinePowerModel model,
-                                  OnlineEstimatorConfig config)
-{
-    if (config.sourceLabel.empty())
-        config.sourceLabel = "machine" + std::to_string(estimators.size());
-    estimators.emplace_back(std::move(model), std::move(config));
-    return estimators.size() - 1;
-}
-
-OnlinePowerEstimator &
-ClusterPowerEstimator::machine(size_t index)
-{
-    panicIf(index >= estimators.size(),
-            "ClusterPowerEstimator: machine index out of range");
-    return estimators[index];
-}
-
-const OnlinePowerEstimator &
-ClusterPowerEstimator::machine(size_t index) const
-{
-    panicIf(index >= estimators.size(),
-            "ClusterPowerEstimator: machine index out of range");
-    return estimators[index];
-}
-
-MachineHealth
-ClusterPowerEstimator::machineHealth(size_t index) const
-{
-    return machine(index).health();
-}
-
-size_t
-ClusterPowerEstimator::countInHealth(MachineHealth health) const
-{
-    size_t n = 0;
-    for (const auto &est : estimators) {
-        if (est.health() == health)
-            ++n;
-    }
-    return n;
-}
-
-double
-ClusterPowerEstimator::estimateCluster(
-    const std::vector<std::vector<double>> &catalogRows)
-{
-    panicIf(catalogRows.size() != estimators.size(),
-            "estimateCluster: machine/row count mismatch");
-    double total = 0.0;
-    for (size_t m = 0; m < estimators.size(); ++m)
-        total += estimators[m].estimate(catalogRows[m]);
-    clusterStats.add(total);
-    return total;
-}
-
 } // namespace chaos

@@ -14,9 +14,9 @@
  * values from the last known-good reading within a staleness budget,
  * clamps predictions to the machine's physical power envelope, and
  * tracks an explicit health state so operators can tell a trusted
- * estimate from a substituted one. Cluster composition (paper Eq. 5)
- * then degrades gracefully instead of propagating one machine's NaN
- * into the cluster total.
+ * estimate from a substituted one. Cluster composition (paper Eq. 5,
+ * served by serve::FleetServer) then degrades gracefully instead of
+ * propagating one machine's NaN into the cluster total.
  */
 #ifndef CHAOS_CORE_ONLINE_HPP
 #define CHAOS_CORE_ONLINE_HPP
@@ -115,8 +115,8 @@ struct OnlineEstimatorConfig
 
     /**
      * Label identifying this machine in health events (obs::EventLog).
-     * Empty means "machine"; ClusterPowerEstimator::addMachine fills
-     * in "machine<index>" when left empty.
+     * Empty means "machine"; serve::FleetServer::addMachine fills in
+     * the machine id when left empty.
      */
     std::string sourceLabel;
 
@@ -319,48 +319,6 @@ class OnlinePowerEstimator
     double lastEstimate = 0.0;
     RunningStats residualStats;
     RunningStats estimateStats;
-};
-
-/**
- * Cluster-level online estimation (paper Eq. 5): the cluster estimate
- * is the sum of per-machine estimates, with per-machine health
- * composed so one machine losing telemetry degrades the total
- * gracefully instead of poisoning it with NaN.
- */
-class ClusterPowerEstimator
-{
-  public:
-    /** Register one machine (returns its index). */
-    size_t addMachine(MachinePowerModel model,
-                      OnlineEstimatorConfig config = {});
-
-    /** Number of registered machines. */
-    size_t numMachines() const { return estimators.size(); }
-
-    /** The per-machine estimator (panic on bad index). */
-    OnlinePowerEstimator &machine(size_t index);
-    const OnlinePowerEstimator &machine(size_t index) const;
-
-    /** Health of one machine after its most recent sample. */
-    MachineHealth machineHealth(size_t index) const;
-
-    /** Number of machines currently in the given health state. */
-    size_t countInHealth(MachineHealth health) const;
-
-    /**
-     * One cluster-second: estimate every machine and sum. Always
-     * finite. @p catalogRows must have one row per registered
-     * machine, in registration order.
-     */
-    double estimateCluster(
-        const std::vector<std::vector<double>> &catalogRows);
-
-    /** Running statistics of the cluster totals. */
-    const RunningStats &clusterEstimates() const { return clusterStats; }
-
-  private:
-    std::vector<OnlinePowerEstimator> estimators;
-    RunningStats clusterStats;
 };
 
 } // namespace chaos

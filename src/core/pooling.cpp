@@ -108,12 +108,9 @@ comparePooling(const Dataset &data, const FeatureSet &featureSet,
             obs::Span fold_span("pooling.fold");
             PoolingFoldOutcome out;
             const auto &fold = folds[fi];
-            const auto &train_rows = config.trainOnSingleFold
-                                         ? fold.testIndices
-                                         : fold.trainIndices;
-            const auto &test_rows = config.trainOnSingleFold
-                                        ? fold.trainIndices
-                                        : fold.testIndices;
+            // Paper protocol: the small side is the training set.
+            const auto &train_rows = fold.testIndices;
+            const auto &test_rows = fold.trainIndices;
             if (train_rows.size() <
                     featureSet.counters.size() + 5 ||
                 test_rows.empty()) {

@@ -165,36 +165,6 @@ CounterFaultInjector::apply(std::vector<double> values)
     return values;
 }
 
-FaultyPowerMeter::FaultyPowerMeter(PowerMeter meter,
-                                   const FaultProfile &profile, Rng rng)
-    : inner(std::move(meter)), injector(profile, rng)
-{}
-
-double
-FaultyPowerMeter::sample(double truePowerW)
-{
-    return injector.apply(inner.sample(truePowerW));
-}
-
-FaultyCounterSampler::FaultyCounterSampler(CounterSampler sampler,
-                                           const FaultProfile &profile,
-                                           Rng rng)
-    : inner(std::move(sampler)), injector(profile, rng)
-{}
-
-std::vector<double>
-FaultyCounterSampler::sample(const MachineState &state)
-{
-    return injector.apply(inner.sample(state));
-}
-
-void
-FaultyCounterSampler::reset()
-{
-    inner.reset();
-    injector.reset();
-}
-
 void
 injectFaults(std::vector<EtwRecord> &records,
              const FaultProfile &profile, Rng rng)

@@ -1,15 +1,13 @@
 /**
  * @file
- * Fault injectors wrapping the measurement pipeline.
+ * Fault injectors for the measurement pipeline.
  *
- * Two composition points mirror how real telemetry degrades:
- *
- *  - live wrappers (FaultyPowerMeter, FaultyCounterSampler) sit where
- *    the physical meter and the Perfmon session sit, corrupting
- *    samples as they are produced;
- *  - injectFaults() replays a fault profile over an already-logged
- *    trace, so any recorded campaign can be re-evaluated under
- *    degraded telemetry without re-simulating the machines.
+ * MeterFaultInjector and CounterFaultInjector corrupt one reading or
+ * one catalog vector per second, the way the physical meter and the
+ * Perfmon session degrade; injectFaults() replays a fault profile
+ * over an already-logged trace, so any recorded campaign can be
+ * re-evaluated under degraded telemetry without re-simulating the
+ * machines.
  *
  * All injectors draw from private seeded Rng streams, so a (profile,
  * seed) pair reproduces the exact same fault pattern bit-for-bit.
@@ -21,8 +19,6 @@
 
 #include "faults/fault_profile.hpp"
 #include "oscounters/etw_session.hpp"
-#include "oscounters/sampler.hpp"
-#include "sim/power_meter.hpp"
 #include "util/random.hpp"
 
 namespace chaos {
@@ -74,50 +70,6 @@ class CounterFaultInjector
     std::vector<double> heldValues;
     std::vector<double> lastVector;
     bool haveLastVector = false;
-};
-
-/** A wall meter whose output passes through a fault injector. */
-class FaultyPowerMeter
-{
-  public:
-    /**
-     * @param meter The wrapped meter (by value; meters are small).
-     * @param rng Private fault stream, independent of the meter's own
-     *        noise stream.
-     */
-    FaultyPowerMeter(PowerMeter meter, const FaultProfile &profile,
-                     Rng rng);
-
-    /** Measure true power, then corrupt the reading. */
-    double sample(double truePowerW);
-
-    /** The wrapped fault-free meter. */
-    const PowerMeter &meter() const { return inner; }
-
-  private:
-    PowerMeter inner;
-    MeterFaultInjector injector;
-};
-
-/** A counter sampler whose output passes through a fault injector. */
-class FaultyCounterSampler
-{
-  public:
-    FaultyCounterSampler(CounterSampler sampler,
-                         const FaultProfile &profile, Rng rng);
-
-    /** Sample the catalog, then corrupt the vector. */
-    std::vector<double> sample(const MachineState &state);
-
-    /** True while a whole-machine outage episode is running. */
-    bool inOutage() const { return injector.inOutage(); }
-
-    /** Reset sampler and injector state (new run). */
-    void reset();
-
-  private:
-    CounterSampler inner;
-    CounterFaultInjector injector;
 };
 
 /**

@@ -4,7 +4,7 @@
  *
  * Sized for this library's workloads: design matrices with a few
  * thousand rows and a few dozen columns. No expression templates; the
- * factorizations in cholesky.hpp / qr.hpp do the heavy lifting.
+ * factorization in cholesky.hpp does the heavy lifting.
  */
 #ifndef CHAOS_LINALG_MATRIX_HPP
 #define CHAOS_LINALG_MATRIX_HPP

@@ -187,12 +187,4 @@ CompiledPredictor::predictBatch(const double *rows, std::size_t n,
     }
 }
 
-double
-CompiledPredictor::predictOne(const double *row) const
-{
-    double out;
-    predictBatch(row, 1, width == 0 ? 1 : width, &out);
-    return out;
-}
-
 } // namespace chaos

@@ -138,9 +138,6 @@ class CompiledPredictor
     void predictBatch(const double *rows, std::size_t n,
                       std::size_t stride, double *out) const;
 
-    /** Evaluate a single row of numFeatures() values. */
-    double predictOne(const double *row) const;
-
   private:
     enum class Kind { None, Dense, Mars, Switching };
 

@@ -221,18 +221,6 @@ FleetMonitor::acknowledgeDrift(const std::string &id)
     });
 }
 
-void
-FleetMonitor::resetMachine(const std::string &id)
-{
-    Slot *slot = findSlot(id);
-    if (slot == nullptr)
-        return;
-    slot->entry->withEstimator([&](OnlinePowerEstimator &est) {
-        slot->rolling.reset();
-        est.setModelQuality(slot->rolling.quality());
-    });
-}
-
 bool
 FleetMonitor::machineDrifted(const std::string &id) const
 {

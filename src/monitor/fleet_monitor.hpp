@@ -136,12 +136,6 @@ class FleetMonitor : public serve::SampleObserver
      */
     void acknowledgeDrift(const std::string &id);
 
-    /**
-     * Fully reset machine @p id's tracker (new warmup) and write the
-     * Unknown verdict back to the estimator. No-op for unknown ids.
-     */
-    void resetMachine(const std::string &id);
-
     /** True when machine @p id's detector is currently latched. */
     bool machineDrifted(const std::string &id) const;
 

@@ -72,7 +72,6 @@ TraceReplayer::replayInto(FleetServer &server,
     const auto epoch = clock::now();
 
     ReplayStats stats;
-    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
     for (std::size_t t = 0; t < ticks; ++t) {
         if (stopFlag != nullptr && stopFlag->load())
             break;
@@ -80,10 +79,8 @@ TraceReplayer::replayInto(FleetServer &server,
             const MachineTrace &trace = machines[m];
             if (t >= trace.rows.size())
                 continue;
-            const double metered = config.feedMeteredReference
-                                       ? trace.meteredW[t]
-                                       : kNan;
-            server.submitTo(*entries[m], trace.rows[t], metered);
+            server.submitTo(*entries[m], trace.rows[t],
+                            trace.meteredW[t]);
             ++stats.submitted;
         }
         ++stats.ticks;

@@ -33,8 +33,6 @@ struct ReplayConfig
      * per wall second, and <= 0 replays as fast as possible.
      */
     double speed = 0.0;
-    /** Forward the recorded metered power as reference readings. */
-    bool feedMeteredReference = true;
     /**
      * Invoked on the replay thread after each tick's samples were
      * submitted (before any pacing sleep). A synchronous caller can

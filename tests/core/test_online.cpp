@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the hardened online estimation path: input validation,
- * last-known-good imputation, envelope clamping, health-state
- * transitions, and graceful cluster composition under telemetry loss.
+ * last-known-good imputation, envelope clamping, and health-state
+ * transitions. Cluster composition under telemetry loss is tested
+ * on the served path (tests/serve/test_server.cpp).
  */
 #include <cmath>
 #include <limits>
@@ -302,108 +303,6 @@ TEST(OnlineEstimator, HealthEventsFollowScriptedFaultSequence)
     EXPECT_EQ(transitions, expected);
     EXPECT_TRUE(imputation_before_first_transition);
     EXPECT_TRUE(substitution_after_lost);
-}
-
-TEST(ClusterEstimator, AssignsDefaultSourceLabels)
-{
-    ClusterPowerEstimator cluster;
-    cluster.addMachine(core2Model(), core2Config());
-    OnlineEstimatorConfig labelled = core2Config();
-    labelled.sourceLabel = "rack7";
-    cluster.addMachine(core2Model(), labelled);
-
-    obs::EventLog::instance().clear();
-    const std::vector<double> allNan(
-        CounterCatalog::instance().size(), kNan);
-    cluster.estimateCluster({cleanRow(0), cleanRow(0)});
-    cluster.estimateCluster({allNan, allNan});
-
-    bool saw_machine0 = false, saw_rack7 = false;
-    for (const auto &e : obs::EventLog::instance().snapshot()) {
-        saw_machine0 = saw_machine0 || e.source == "machine0";
-        saw_rack7 = saw_rack7 || e.source == "rack7";
-    }
-    EXPECT_TRUE(saw_machine0);
-    EXPECT_TRUE(saw_rack7);
-}
-
-TEST(ClusterEstimator, SurvivesSingleMachineLoss)
-{
-    const MachinePowerModel model = core2Model();
-    const MachineSpec spec = machineSpecFor(MachineClass::Core2);
-    const std::vector<double> allNan(
-        CounterCatalog::instance().size(), kNan);
-
-    ClusterPowerEstimator cluster;
-    for (int m = 0; m < 3; ++m)
-        cluster.addMachine(model, core2Config());
-    ASSERT_EQ(cluster.numMachines(), 3u);
-
-    for (size_t r = 0; r < 20; ++r) {
-        cluster.estimateCluster(
-            {cleanRow(r), cleanRow(r), cleanRow(r)});
-    }
-    EXPECT_EQ(cluster.countInHealth(MachineHealth::Healthy), 3u);
-
-    // Machine 0 goes dark; the cluster total must stay finite and
-    // the lost machine's substitute must stay inside its envelope,
-    // bounding its error by the dynamic range.
-    double total = 0.0;
-    for (size_t r = 20; r < 40; ++r) {
-        total = cluster.estimateCluster(
-            {allNan, cleanRow(r), cleanRow(r)});
-        EXPECT_TRUE(std::isfinite(total));
-    }
-    EXPECT_EQ(cluster.machineHealth(0), MachineHealth::Lost);
-    EXPECT_EQ(cluster.countInHealth(MachineHealth::Lost), 1u);
-    EXPECT_EQ(cluster.countInHealth(MachineHealth::Healthy), 2u);
-    EXPECT_GE(total, 3.0 * spec.idlePowerW);
-    EXPECT_LE(total, 3.0 * spec.maxPowerW);
-    EXPECT_EQ(cluster.clusterEstimates().count(), 40u);
-}
-
-TEST(ClusterEstimator, LostMachineRecoverySnapsClusterSumBack)
-{
-    const MachinePowerModel model = core2Model();
-    const std::vector<double> allNan(
-        CounterCatalog::instance().size(), kNan);
-
-    ClusterPowerEstimator cluster;
-    for (int m = 0; m < 3; ++m)
-        cluster.addMachine(model, core2Config());
-
-    // Warm up healthy, then machine 0 goes dark long enough for Lost.
-    for (size_t r = 0; r < 20; ++r) {
-        cluster.estimateCluster(
-            {cleanRow(r), cleanRow(r), cleanRow(r)});
-    }
-    for (size_t r = 20; r < 35; ++r) {
-        cluster.estimateCluster(
-            {allNan, cleanRow(r), cleanRow(r)});
-    }
-    ASSERT_EQ(cluster.machineHealth(0), MachineHealth::Lost);
-
-    // Telemetry returns: the very next clean sample flips the
-    // machine back to Healthy, and — because a fully-valid row is
-    // evaluated by the model alone, independent of outage history —
-    // the cluster sum snaps back to exactly three healthy machines'
-    // worth of the same row.
-    const double total = cluster.estimateCluster(
-        {cleanRow(36), cleanRow(36), cleanRow(36)});
-    EXPECT_EQ(cluster.machineHealth(0), MachineHealth::Healthy);
-    EXPECT_EQ(cluster.countInHealth(MachineHealth::Healthy), 3u);
-    EXPECT_EQ(cluster.countInHealth(MachineHealth::Lost), 0u);
-
-    OnlinePowerEstimator reference(model, core2Config());
-    const double healthyOne = reference.estimate(cleanRow(36));
-    EXPECT_DOUBLE_EQ(total, 3.0 * healthyOne);
-}
-
-TEST(ClusterEstimator, MismatchedRowCountPanics)
-{
-    ClusterPowerEstimator cluster;
-    cluster.addMachine(core2Model(), core2Config());
-    EXPECT_DEATH(cluster.estimateCluster({}), "count mismatch");
 }
 
 } // namespace

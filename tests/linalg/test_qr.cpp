@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/qr.hpp"
+#include "../support/qr.hpp"
 #include "util/random.hpp"
 
 namespace chaos {

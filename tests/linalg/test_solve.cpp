@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/qr.hpp"
+#include "../support/qr.hpp"
 #include "linalg/solve.hpp"
 #include "util/random.hpp"
 

@@ -79,19 +79,14 @@ TEST(TraceReplayer, ForwardsMeteredReferenceWhenEnabled)
     const Dataset data = makeTrace(1, 10);
     TraceReplayer replayer(data);
 
-    for (const bool feed : {true, false}) {
-        FleetServer server;
-        server.addMachine("machine0", makeTestModel(23));
-        ReplayConfig config;
-        config.feedMeteredReference = feed;
-        replayer.replayInto(server, config);
-        while (server.drainOnce() > 0) {
-        }
-        server.machine("machine0")
-            ->withEstimator([&](OnlinePowerEstimator &e) {
-                EXPECT_EQ(e.residuals().count(), feed ? 10u : 0u);
-            });
+    FleetServer server;
+    server.addMachine("machine0", makeTestModel(23));
+    replayer.replayInto(server, {});
+    while (server.drainOnce() > 0) {
     }
+    server.machine("machine0")->withEstimator([](OnlinePowerEstimator &e) {
+        EXPECT_EQ(e.residuals().count(), 10u);
+    });
 }
 
 TEST(TraceReplayer, UnregisteredMachineRaisesBeforeSubmitting)

@@ -2,11 +2,14 @@
  * @file
  * Tests for the streaming fleet server: exact agreement with a serial
  * estimator, threaded drain accounting, the drop-oldest backpressure
- * path, snapshots and their bounded ring, and model hot-swap under an
- * active producer.
+ * path, snapshots and their bounded ring, cluster composition (Eq. 5)
+ * under machine loss and recovery, and model hot-swap under an active
+ * producer.
  */
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -282,6 +285,143 @@ TEST(FleetServer, SnapshotAggregatesFleet)
     EXPECT_FALSE(snap.toJson().empty());
     EXPECT_EQ(snap.toJson().front(), '{');
     EXPECT_EQ(snap.toJson().back(), '}');
+}
+
+/**
+ * Eq. 5 under telemetry loss: three machines with the Core2 envelope,
+ * fed one sample each per tick and drained once per tick.
+ */
+class FleetServerLoss : public ::testing::Test
+{
+  protected:
+    static constexpr double kNan =
+        std::numeric_limits<double>::quiet_NaN();
+
+    void
+    SetUp() override
+    {
+        for (int m = 0; m < 3; ++m) {
+            entries.push_back(&server.addMachine(
+                "m" + std::to_string(m), makeTestModel(7), envelope()));
+        }
+    }
+
+    static OnlineEstimatorConfig
+    envelope()
+    {
+        return OnlineEstimatorConfig::forSpec(spec());
+    }
+
+    static MachineSpec
+    spec()
+    {
+        return machineSpecFor(MachineClass::Core2);
+    }
+
+    static std::vector<double>
+    cleanRow(int t)
+    {
+        return catalogRow(2.0 * t, 100.0 - t);
+    }
+
+    static std::vector<double>
+    allNan()
+    {
+        return std::vector<double>(CounterCatalog::instance().size(),
+                                   kNan);
+    }
+
+    /** One tick: machine 0 gets @p row0, the others a clean row. */
+    FleetSnapshot
+    tick(const std::vector<double> &row0, int t)
+    {
+        server.submitTo(*entries[0], row0);
+        server.submitTo(*entries[1], cleanRow(t));
+        server.submitTo(*entries[2], cleanRow(t));
+        while (server.drainOnce() > 0) {
+        }
+        return server.snapshot();
+    }
+
+    FleetServer server;
+    std::vector<MachineEntry *> entries;
+};
+
+TEST_F(FleetServerLoss, SurvivesSingleMachineLoss)
+{
+    for (int t = 0; t < 20; ++t)
+        tick(cleanRow(t), t);
+    EXPECT_EQ(server.snapshot().healthy, 3u);
+
+    // Machine 0 goes dark; the cluster total must stay finite and
+    // the lost machine's substitute must stay inside its envelope,
+    // bounding its error by the dynamic range.
+    FleetSnapshot snap;
+    for (int t = 20; t < 40; ++t) {
+        snap = tick(allNan(), t);
+        EXPECT_TRUE(std::isfinite(snap.clusterW));
+    }
+    EXPECT_EQ(snap.machines[0].health, MachineHealth::Lost);
+    EXPECT_EQ(snap.lost, 1u);
+    EXPECT_EQ(snap.healthy, 2u);
+    EXPECT_GE(snap.clusterW, 3.0 * spec().idlePowerW);
+    EXPECT_LE(snap.clusterW, 3.0 * spec().maxPowerW);
+    EXPECT_EQ(snap.samplesProcessed, 120u);
+}
+
+TEST_F(FleetServerLoss, LostMachineRecoverySnapsClusterSumBack)
+{
+    for (int t = 0; t < 20; ++t)
+        tick(cleanRow(t), t);
+    for (int t = 20; t < 35; ++t)
+        tick(allNan(), t);
+    ASSERT_EQ(server.snapshot().machines[0].health,
+              MachineHealth::Lost);
+
+    // Telemetry returns: the very next clean sample flips the
+    // machine back to Healthy, and — because a fully-valid row is
+    // evaluated by the model alone, independent of outage history —
+    // the cluster sum snaps back to exactly three healthy machines'
+    // worth of the same row.
+    const FleetSnapshot snap = tick(cleanRow(36), 36);
+    EXPECT_EQ(snap.machines[0].health, MachineHealth::Healthy);
+    EXPECT_EQ(snap.healthy, 3u);
+    EXPECT_EQ(snap.lost, 0u);
+
+    OnlinePowerEstimator reference(makeTestModel(7), envelope());
+    const double healthyOne = reference.estimate(cleanRow(36));
+    EXPECT_DOUBLE_EQ(snap.clusterW, 3.0 * healthyOne);
+}
+
+TEST(FleetServer, HealthEventsCarryTheMachineId)
+{
+    const OnlineEstimatorConfig core2 =
+        OnlineEstimatorConfig::forSpec(machineSpecFor(MachineClass::Core2));
+    OnlineEstimatorConfig labelled = core2;
+    labelled.sourceLabel = "rack7";
+    FleetServer server;
+    MachineEntry &plain = server.addMachine("m0", makeTestModel(7), core2);
+    MachineEntry &rack =
+        server.addMachine("m1", makeTestModel(7), labelled);
+
+    obs::EventLog::instance().clear();
+    const std::vector<double> allNan(
+        CounterCatalog::instance().size(),
+        std::numeric_limits<double>::quiet_NaN());
+    server.submitTo(plain, catalogRow(10, 20));
+    server.submitTo(rack, catalogRow(10, 20));
+    server.submitTo(plain, allNan);
+    server.submitTo(rack, allNan);
+    while (server.drainOnce() > 0) {
+    }
+
+    bool saw_m0 = false, saw_rack7 = false;
+    for (const auto &e : obs::EventLog::instance().snapshot()) {
+        saw_m0 = saw_m0 || e.source == "m0";
+        saw_rack7 = saw_rack7 || e.source == "rack7";
+    }
+    EXPECT_TRUE(saw_m0);
+    EXPECT_TRUE(saw_rack7);
 }
 
 TEST(FleetServer, PeriodicSnapshotsEveryNSamples)
