@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <thread>
 
 #include "stats/descriptive.hpp"
 #include "util/string_utils.hpp"
@@ -14,6 +15,15 @@ fastMode()
 {
     const char *value = std::getenv("CHAOS_BENCH_FAST");
     return value != nullptr && std::string(value) == "1";
+}
+
+std::string
+hostJsonFields()
+{
+    return "  \"hardware_threads\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\n  \"build_type\": \"" + std::string(CHAOS_BUILD_TYPE) +
+           "\",\n";
 }
 
 CampaignConfig

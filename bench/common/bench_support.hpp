@@ -38,6 +38,12 @@ ClusterCampaign campaignFor(MachineClass mc,
  */
 void dropRawRuns(ClusterCampaign &campaign);
 
+/**
+ * Where a BENCH_*.json was measured: its "hardware_threads" and
+ * "build_type" fields, as JSON object lines ending in ",\n".
+ */
+std::string hostJsonFields();
+
 /** "12.3%" style formatting of a fraction. */
 std::string pct(double fraction, int decimals = 1);
 

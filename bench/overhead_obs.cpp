@@ -187,6 +187,7 @@ main()
     json += "  \"bench\": \"overhead_obs\",\n";
     json += "  \"fast_mode\": " +
             std::string(bench::fastMode() ? "true" : "false") + ",\n";
+    json += bench::hostJsonFields();
     json += "  \"rows\": " +
             std::to_string(campaign.data.numRows()) + ",\n";
     json += "  \"reps\": " + std::to_string(reps) + ",\n";

@@ -5,25 +5,33 @@
  * roll-up verdict quality.
  *
  *  1. Scale: synthetic topologies of 10k and 100k machines (fast
- *     mode: 2k / 10k). Per tick we time (a) the update pass — one
- *     tree upsert per machine, observations synthesized OUTSIDE the
- *     timed region — and (b) the full aggregation pass that rolls
- *     every node's sketches, mixes, and worst-N rankings up to the
- *     root. Both are gated per machine, so one budget covers both
+ *     mode: 2k / 10k), each fed two ways. The string path
+ *     ("path": "string") is RollupTree::update(groupPath, observation)
+ *     per machine, the edge JSONL replay and fleetview use. The index
+ *     path ("path": "index") is what a live server's tick pays:
+ *     LiveRollupFeed::place once per machine, then per tick one
+ *     observe() of a fleet and a quality snapshot that carry machine
+ *     indices. Inputs are synthesized OUTSIDE the timed region. Per
+ *     tick we time (a) the update pass (update() per machine, or one
+ *     observe()) and (b) the full aggregation pass that rolls every
+ *     node's sketches, mixes, and worst-N rankings up to the root.
+ *     Both paths must aggregate to bit-identical JSON (gated). Both
+ *     passes are gated per machine, so one budget covers both
  *     scales:
  *       - update:     <= 3 µs/machine
  *       - aggregate:  <= 5 µs/machine
  *       - memory:     <= 1536 bytes/machine for the whole tree
- *     Floor rationale: an update is a map find + struct copy and an
- *     aggregation is two sketch adds plus an amortized share of
- *     O(nodes x buckets) merges — both measure ~0.25-0.3 µs/machine
- *     at 100k machines (27 ms and 24 ms per tick). The budgets sit
- *     ~10x above that so only a real regression (per-machine
- *     allocation, accidental O(n^2) merge, unbounded rankings) trips
- *     them on a loaded builder, while still pinning a 100k-machine
- *     datacenter tick under half a second. Memory: an observation is ~300 bytes of struct +
- *     strings + map overhead; 1536 bytes leaves room for node
- *     plumbing without letting per-machine state balloon.
+ *     Floor rationale: an update is a path lookup + a binary search
+ *     of the group's machines + a struct copy, an observe() a join
+ *     and a struct write, and an aggregation two sketch adds plus an
+ *     amortized share of O(nodes x buckets) merges — all well under
+ *     0.3 µs/machine. The budgets sit ~10x above that so only a real
+ *     regression (per-machine allocation, accidental O(n^2) merge,
+ *     unbounded rankings) trips them on a loaded builder, while
+ *     still pinning a 100k-machine datacenter tick under half a
+ *     second. Memory: a machine is ~80 bytes of state plus its id
+ *     string and a slot in its group; 1536 bytes leaves room for
+ *     node plumbing without letting per-machine state balloon.
  *
  *  2. Determinism: the aggregated roll-up JSON must be bit-identical
  *     between CHAOS_THREADS=1 and 8 (gated) — the sketches hold
@@ -48,6 +56,7 @@
 #include <vector>
 
 #include "common/bench_support.hpp"
+#include "rollup/feed.hpp"
 #include "rollup/rollup.hpp"
 #include "rollup/synthetic.hpp"
 #include "sim/fleet_topology.hpp"
@@ -68,6 +77,7 @@ nowMs()
 
 struct ScaleResult
 {
+    const char *path = "string"; ///< "string" or "index".
     std::size_t machines = 0;
     std::size_t nodes = 0;
     double updateMsPerTick = 0.0;
@@ -129,7 +139,117 @@ measureScale(std::size_t machines, std::uint64_t seed)
     return result;
 }
 
+/** One tick as a live server reports it: snapshots with indices. */
+struct LiveTick
+{
+    serve::FleetSnapshot fleet;
+    monitor::QualitySnapshot quality;
+};
+
+LiveTick
+liveTick(const FleetTopology &topology, std::uint64_t tick)
+{
+    LiveTick t;
+    const auto &machines = topology.machines();
+    t.fleet.machines.reserve(machines.size());
+    t.quality.machines.reserve(machines.size());
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        const SyntheticObservation s = topology.observe(i, tick);
+        serve::MachineSnapshot &m = t.fleet.machines.emplace_back();
+        m.id = machines[i].id;
+        m.index = static_cast<std::uint32_t>(i);
+        m.watts = s.watts;
+        m.samples = s.samples;
+        m.residualSamples = s.referenceSamples;
+        m.meanResidualW = s.biasW;
+        m.dropped = s.dropped;
+        m.health = s.health;
+        m.quality = s.quality;
+        m.quarantined = s.quarantined;
+        monitor::MachineQualityReport &q =
+            t.quality.machines.emplace_back();
+        q.id = m.id;
+        q.index = m.index;
+        q.quality = s.quality;
+        q.referenceSamples = s.referenceSamples;
+        q.windowRmseW = s.windowRmseW;
+        q.rollingDre = s.rollingDre;
+        q.biasW = s.biasW;
+        q.drifted = s.drifted;
+    }
+    // Snapshots list machines in id order.
+    const auto byId = [](const auto &a, const auto &b) {
+        return a.id < b.id;
+    };
+    std::sort(t.fleet.machines.begin(), t.fleet.machines.end(), byId);
+    std::sort(t.quality.machines.begin(), t.quality.machines.end(),
+              byId);
+    return t;
+}
+
+/**
+ * The index path at the same scale: place() once, then per tick one
+ * observe() and one aggregate(). @p matches is set when the final
+ * aggregate is bit-identical to the string path's on @p reference.
+ */
+ScaleResult
+measureIndexScale(std::size_t machines, std::uint64_t seed,
+                  bool &matches);
+
 /** Full pre-order JSONL dump (the determinism fingerprint). */
+std::string rollupDump(const rollup::NodeSummary &node);
+
+ScaleResult
+measureIndexScale(std::size_t machines, std::uint64_t seed,
+                  bool &matches)
+{
+    FleetTopologyConfig config;
+    config.machines = machines;
+    config.seed = seed;
+    const FleetTopology topology(config);
+
+    rollup::RollupTree tree;
+    rollup::LiveRollupFeed feed(tree);
+    for (const SyntheticMachine &m : topology.machines())
+        feed.place(m.id, m.groupPath, machineClassName(m.machineClass));
+    ScaleResult result;
+    result.path = "index";
+    result.machines = machines;
+
+    const std::uint64_t ticks = 4;
+    double bestObserve = 1e18;
+    double bestAggregate = 1e18;
+    std::string dump;
+    for (std::uint64_t tick = 0; tick < ticks; ++tick) {
+        const LiveTick t = liveTick(topology, tick);
+        const double observeStart = nowMs();
+        feed.observe(t.fleet, t.quality);
+        const double observeEnd = nowMs();
+        const rollup::NodeSummary summary = feed.aggregate();
+        const double aggregateEnd = nowMs();
+        bestObserve = std::min(bestObserve, observeEnd - observeStart);
+        bestAggregate =
+            std::min(bestAggregate, aggregateEnd - observeEnd);
+        result.clusterW = summary.stats.watts;
+        if (tick + 1 == ticks)
+            dump = rollupDump(summary);
+    }
+
+    // The same final state through the string edge.
+    rollup::RollupTree reference;
+    rollup::SyntheticRollupFeed(reference, topology).tick(ticks - 1);
+    matches = dump == rollupDump(reference.aggregate());
+
+    result.nodes = tree.numNodes();
+    result.updateMsPerTick = bestObserve;
+    result.aggregateMsPerTick = bestAggregate;
+    result.memoryBytes = tree.memoryBytes();
+    result.bytesPerMachine =
+        static_cast<double>(result.memoryBytes) /
+        static_cast<double>(machines);
+    return result;
+}
+
 std::string
 rollupDump(const rollup::NodeSummary &node)
 {
@@ -198,15 +318,28 @@ main()
     const double memoryBudgetBytesPerMachine = 1536.0;
 
     bool ok = true;
+    bool indexMatches = true;
     std::vector<ScaleResult> scaleResults;
-    std::printf("%10s %8s %12s %14s %12s %10s\n", "machines",
-                "nodes", "update/tick", "aggregate/tick", "memory",
-                "bytes/m");
+    std::printf("%7s %10s %8s %12s %14s %12s %10s\n", "path",
+                "machines", "nodes", "update/tick", "aggregate/tick",
+                "memory", "bytes/m");
     for (std::size_t machines : scales) {
-        const ScaleResult r = measureScale(machines, 2012);
-        scaleResults.push_back(r);
-        std::printf("%10zu %8zu %9.2f ms %11.2f ms %9.1f MB %10.0f\n",
-                    r.machines, r.nodes, r.updateMsPerTick,
+        bool matches = false;
+        scaleResults.push_back(measureScale(machines, 2012));
+        scaleResults.push_back(
+            measureIndexScale(machines, 2012, matches));
+        if (!matches) {
+            std::printf("FAIL: index path aggregate differs from the "
+                        "string path at %zu machines\n",
+                        machines);
+            indexMatches = false;
+            ok = false;
+        }
+    }
+    for (const ScaleResult &r : scaleResults) {
+        std::printf("%7s %10zu %8zu %9.2f ms %11.2f ms %9.1f MB "
+                    "%10.0f\n",
+                    r.path, r.machines, r.nodes, r.updateMsPerTick,
                     r.aggregateMsPerTick,
                     static_cast<double>(r.memoryBytes) / 1e6,
                     r.bytesPerMachine);
@@ -309,12 +442,16 @@ main()
     json += "  \"bench\": \"rollup_scale\",\n";
     json += "  \"fast_mode\": " +
             std::string(fast ? "true" : "false") + ",\n";
+    json += bench::hostJsonFields();
     json += "  \"scale\": [\n";
     for (std::size_t i = 0; i < scaleResults.size(); ++i) {
         const ScaleResult &r = scaleResults[i];
-        json += "    {\"machines\": " + std::to_string(r.machines) +
+        const bool index = std::string(r.path) == "index";
+        json += "    {\"path\": \"" + std::string(r.path) +
+                "\", \"machines\": " + std::to_string(r.machines) +
                 ", \"nodes\": " + std::to_string(r.nodes) +
-                ", \"update_ms_per_tick\": " +
+                (index ? ", \"observe_ms_per_tick\": "
+                       : ", \"update_ms_per_tick\": ") +
                 formatDouble(r.updateMsPerTick, 3) +
                 ", \"aggregate_ms_per_tick\": " +
                 formatDouble(r.aggregateMsPerTick, 3) +
@@ -335,6 +472,8 @@ main()
             formatDouble(memoryBudgetBytesPerMachine, 0) + ",\n";
     json += "  \"deterministic\": " +
             std::string(deterministic ? "true" : "false") + ",\n";
+    json += "  \"index_matches_string\": " +
+            std::string(indexMatches ? "true" : "false") + ",\n";
     json += "  \"density_sweep\": [\n";
     for (std::size_t i = 0; i < densityResults.size(); ++i) {
         const DensityResult &r = densityResults[i];

@@ -434,11 +434,7 @@ main()
     json += "  \"bench\": \"serve_throughput\",\n";
     json += "  \"fast_mode\": " +
             std::string(fast ? "true" : "false") + ",\n";
-    json += "  \"hardware_threads\": " +
-            std::to_string(std::thread::hardware_concurrency()) +
-            ",\n";
-    json += "  \"build_type\": \"" + std::string(CHAOS_BUILD_TYPE) +
-            "\",\n";
+    json += bench::hostJsonFields();
     json += "  \"fleet_size\": " + std::to_string(kFleetSize) + ",\n";
     json += "  \"monitor_overhead\": " +
             overheadJson(monitorOverhead, monitorTotal, monitorReps) +

@@ -330,7 +330,8 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight test_obs test_models test_core test_serve
+    test_flight test_obs test_models test_core test_serve \
+    test_serve_alloc test_rollup
 ./build-asan/tests/test_faults
 
 echo
@@ -344,10 +345,14 @@ echo "== tier 1: LASSO + Algorithm 1 tests under ASan+UBSan =="
 
 echo
 echo "== tier 1: fleet drain + snapshot ring tests under ASan+UBSan =="
-# One drain pass indexes a single batch popped across every shard, and
-# snapshot callbacks hold references into snapshots the bounded ring
-# owns; an out-of-bounds index or a use-after-evict is fatal here.
+# One drain pass indexes a single batch popped across every shard and
+# groups it through per-machine-index arrays, and snapshot callbacks
+# hold references into snapshots the bounded ring owns; an
+# out-of-bounds index or a use-after-evict is fatal here. The
+# roll-up's index-addressed fold runs its differential test here too.
 ./build-asan/tests/test_serve --gtest_filter='FleetServer*:*Registry*'
+./build-asan/tests/test_serve_alloc
+./build-asan/tests/test_rollup --gtest_filter='RollupDifferential*'
 
 echo
 echo "== tier 1: JSON reader corpus + mutation fuzz under ASan+UBSan =="

@@ -82,7 +82,8 @@ OnlineEstimatorConfig::forSpec(const MachineSpec &spec)
 
 OnlinePowerEstimator::OnlinePowerEstimator(MachinePowerModel model,
                                            OnlineEstimatorConfig config)
-    : model(std::move(model)), config(config)
+    : model(std::move(model)), config(config),
+      recentTrusted(std::max<size_t>(config.recentMeanWindow, 1), 0.0)
 {
     const auto &catalog = CounterCatalog::instance();
     const auto &indices = this->model.catalogIndices();
@@ -95,8 +96,8 @@ OnlinePowerEstimator::OnlinePowerEstimator(MachinePowerModel model,
 double
 OnlinePowerEstimator::substitutePowerW() const
 {
-    if (!recentTrusted.empty())
-        return recentTrustedSum / double(recentTrusted.size());
+    if (recentFill > 0)
+        return recentTrustedSum / double(recentFill);
     if (config.hasEnvelope())
         return 0.5 * (config.idlePowerW + config.maxPowerW);
     return 0.0;
@@ -105,13 +106,16 @@ OnlinePowerEstimator::substitutePowerW() const
 void
 OnlinePowerEstimator::rememberTrusted(double watts)
 {
-    const size_t window = std::max<size_t>(config.recentMeanWindow, 1);
-    recentTrusted.push_back(watts);
+    // Add the new estimate, then subtract the one it evicts: the
+    // order a growing queue trimmed from the front would use.
     recentTrustedSum += watts;
-    while (recentTrusted.size() > window) {
-        recentTrustedSum -= recentTrusted.front();
-        recentTrusted.pop_front();
-    }
+    if (recentFill == recentTrusted.size())
+        recentTrustedSum -= recentTrusted[recentHead];
+    else
+        ++recentFill;
+    recentTrusted[recentHead] = watts;
+    if (++recentHead == recentTrusted.size())
+        recentHead = 0;
 }
 
 bool

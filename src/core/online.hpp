@@ -22,7 +22,6 @@
 #define CHAOS_CORE_ONLINE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 
 #include "core/cluster_model.hpp"
@@ -312,7 +311,11 @@ class OnlinePowerEstimator
     double secondsAllInvalid = 0.0;
     OnlineHealthCounters tallies;
 
-    std::deque<double> recentTrusted;
+    /** Ring of the last recentMeanWindow trusted estimates, sized at
+     *  construction so remembering one never allocates. */
+    std::vector<double> recentTrusted;
+    size_t recentHead = 0; ///< Next write position.
+    size_t recentFill = 0;
     double recentTrustedSum = 0.0;
 
     size_t count = 0;

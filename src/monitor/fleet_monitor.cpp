@@ -117,8 +117,12 @@ FleetMonitor::attach(serve::FleetServer &server)
     raiseIf(server_ != nullptr && server_ != &server,
             "monitor: already attached to a different server");
     detach();
-    slots_.clear();
-    for (const std::string &id : server.machineIds()) {
+    positionOf_.clear();
+    ids_ = server.machineIds();
+    numSlots_ = ids_.size();
+    slots_ = std::make_unique<Slot[]>(numSlots_);
+    for (std::size_t position = 0; position < numSlots_; ++position) {
+        const std::string &id = ids_[position];
         serve::MachineEntry *entry = server.machine(id);
         raiseIf(entry == nullptr,
                 "monitor: machine '" + id +
@@ -132,16 +136,24 @@ FleetMonitor::attach(serve::FleetServer &server)
                     est.configuration().maxPowerW;
             });
         }
-        slots_.push_back(
-            std::make_unique<Slot>(entry, id, machineConfig));
+        Slot &slot = slots_[position];
+        slot.entry = entry;
+        slot.rolling = RollingQuality(machineConfig);
+        slot.published.envelopeSpanW = machineConfig.envelopeSpanW();
+        slot.published.machineIndex = entry->index();
+        if (entry->index() >= positionOf_.size())
+            positionOf_.resize(entry->index() + 1, kUnmonitored);
+        positionOf_[entry->index()] =
+            static_cast<std::uint32_t>(position);
         // Cache the slot on the entry (under its mutex) so onSample
         // reaches the tracker without any lookup.
-        Slot *slot = slots_.back().get();
         entry->withEstimator([&](OnlinePowerEstimator &) {
-            entry->setObserverState(slot);
+            entry->setObserverState(&slot);
+            publish(slot);
         });
     }
     server_ = &server;
+    fleet_ = &server;
     server.setSampleObserver(this);
 }
 
@@ -151,12 +163,32 @@ FleetMonitor::detach()
     if (server_ == nullptr)
         return;
     server_->setSampleObserver(nullptr);
-    for (const auto &slot : slots_) {
-        slot->entry->withEstimator([&](OnlinePowerEstimator &) {
-            slot->entry->setObserverState(nullptr);
+    for (std::size_t i = 0; i < numSlots_; ++i) {
+        Slot &slot = slots_[i];
+        slot.entry->withEstimator([&](OnlinePowerEstimator &) {
+            slot.entry->setObserverState(nullptr);
         });
     }
     server_ = nullptr;
+}
+
+void
+FleetMonitor::publish(Slot &slot)
+{
+    constexpr auto relaxed = std::memory_order_relaxed;
+    const RollingQuality &rolling = slot.rolling;
+    Published &p = slot.published;
+    p.lock.write([&] {
+        p.flags.store(static_cast<std::uint32_t>(rolling.quality()) |
+                          static_cast<std::uint32_t>(rolling.drifted())
+                              << 8,
+                      relaxed);
+        p.samples.store(rolling.samples(), relaxed);
+        p.fill.store(rolling.windowFill(), relaxed);
+        p.sumW.store(rolling.windowSumW(), relaxed);
+        p.sumSqW.store(rolling.windowSumSqW(), relaxed);
+        p.driftStatistic.store(rolling.driftStatistic(), relaxed);
+    });
 }
 
 void
@@ -172,6 +204,7 @@ FleetMonitor::onSample(serve::MachineEntry &entry,
         return;
     Slot &slot = *slotPtr;
     const bool fired = slot.rolling.addResidual(meteredW - estimateW);
+    publish(slot);
     const ModelQuality verdict = slot.rolling.quality();
     if (verdict != estimator.modelQuality())
         estimator.setModelQuality(verdict);
@@ -186,9 +219,9 @@ FleetMonitor::onSample(serve::MachineEntry &entry,
                << slot.rolling.biasW() << " W after "
                << slot.rolling.samples() << " reference samples";
         obs::EventLog::instance().emit(obs::EventKind::ModelDrift,
-                                       slot.id, detail.str());
+                                       entry.id(), detail.str());
         if (driftListener_)
-            driftListener_(slot.id);
+            driftListener_(entry.id());
     }
 }
 
@@ -202,11 +235,14 @@ FleetMonitor::setDriftListener(
 FleetMonitor::Slot *
 FleetMonitor::findSlot(const std::string &id) const
 {
-    for (const auto &slot : slots_) {
-        if (slot->id == id)
-            return slot.get();
-    }
-    return nullptr;
+    serve::MachineEntry *entry =
+        fleet_ == nullptr ? nullptr : fleet_->machine(id);
+    if (entry == nullptr || entry->index() >= positionOf_.size())
+        return nullptr;
+    const std::uint32_t position = positionOf_[entry->index()];
+    if (position == kUnmonitored)
+        return nullptr;
+    return &slots_[position];
 }
 
 void
@@ -217,6 +253,7 @@ FleetMonitor::acknowledgeDrift(const std::string &id)
         return;
     slot->entry->withEstimator([&](OnlinePowerEstimator &est) {
         slot->rolling.acknowledge();
+        publish(*slot);
         est.setModelQuality(slot->rolling.quality());
     });
 }
@@ -237,38 +274,48 @@ FleetMonitor::machineDrifted(const std::string &id) const
 void
 FleetMonitor::onModelSwap(const std::string &machineId)
 {
-    for (const auto &slot : slots_) {
-        if (slot->id != machineId)
-            continue;
-        // Under the entry mutex so the reset cannot interleave with a
-        // concurrent onSample for the same machine.
-        slot->entry->withEstimator(
-            [&](OnlinePowerEstimator &) { slot->rolling.reset(); });
+    Slot *slot = findSlot(machineId);
+    if (slot == nullptr)
         return;
-    }
+    // Under the entry mutex so the reset cannot interleave with a
+    // concurrent onSample for the same machine.
+    slot->entry->withEstimator([&](OnlinePowerEstimator &) {
+        slot->rolling.reset();
+        publish(*slot);
+    });
 }
 
 QualitySnapshot
 FleetMonitor::snapshot() const
 {
+    constexpr auto relaxed = std::memory_order_relaxed;
     QualitySnapshot snap;
     snap.tsMs = obs::wallClockMs();
-    snap.machines.reserve(slots_.size());
-    for (const auto &slot : slots_) {
-        MachineQualityReport report;
-        report.id = slot->id;
-        slot->entry->withEstimator([&](OnlinePowerEstimator &) {
-            const RollingQuality &rolling = slot->rolling;
-            report.quality = rolling.quality();
-            report.referenceSamples = rolling.samples();
-            report.windowFill = rolling.windowFill();
-            report.windowRmseW = rolling.windowRmseW();
-            report.rollingDre = rolling.rollingDre();
-            report.biasW = rolling.biasW();
-            report.driftStatistic = rolling.driftStatistic();
-            report.drifted = rolling.drifted();
+    snap.machines.reserve(numSlots_);
+    for (std::size_t pos = 0; pos < numSlots_; ++pos) {
+        const Published &p = slots_[pos].published;
+        std::uint32_t flags = 0;
+        std::uint64_t fill = 0;
+        double sumW = 0.0;
+        double sumSqW = 0.0;
+        MachineQualityReport &report = snap.machines.emplace_back();
+        p.lock.read([&] {
+            flags = p.flags.load(relaxed);
+            report.referenceSamples = p.samples.load(relaxed);
+            fill = p.fill.load(relaxed);
+            sumW = p.sumW.load(relaxed);
+            sumSqW = p.sumSqW.load(relaxed);
+            report.driftStatistic = p.driftStatistic.load(relaxed);
         });
-        snap.machines.push_back(std::move(report));
+        report.id = ids_[pos];
+        report.index = p.machineIndex;
+        report.quality = static_cast<ModelQuality>(flags & 0xff);
+        report.drifted = ((flags >> 8) & 1) != 0;
+        report.windowFill = fill;
+        report.windowRmseW = RollingQuality::rmseOf(sumSqW, fill);
+        report.rollingDre =
+            RollingQuality::dreOf(report.windowRmseW, p.envelopeSpanW);
+        report.biasW = RollingQuality::meanOf(sumW, fill);
     }
     return snap;
 }

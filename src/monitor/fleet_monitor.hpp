@@ -17,10 +17,17 @@
  * publish cadence instead of per sample, which keeps the serving
  * throughput cost under the 1% budget.
  *
+ * Slots are addressed by the registry's dense machine index; the
+ * string id is resolved to it only at the API edge (acknowledgeDrift,
+ * machineDrifted, onModelSwap).
+ *
  * Threading: onSample runs under the machine's entry mutex (see
  * SampleObserver), so per-machine state needs no extra lock; the
- * machine table itself is immutable after attach(). snapshot() takes
- * each entry mutex briefly to read a consistent per-machine view.
+ * machine table itself is immutable after attach(). Every change to
+ * a tracker (under that mutex) republishes the window sums and the
+ * drift state into the slot's cache line with a sequence counter, so
+ * snapshot() reads one contiguous array without taking any lock and
+ * still sees each machine consistently.
  *
  * Drift firings emit a ModelDrift event into the process EventLog and
  * bump chaos.monitor.drift_events; both are deterministic for a given
@@ -39,6 +46,7 @@
 
 #include "monitor/quality.hpp"
 #include "serve/server.hpp"
+#include "util/seqlock.hpp"
 
 namespace chaos::monitor {
 
@@ -46,6 +54,8 @@ namespace chaos::monitor {
 struct MachineQualityReport
 {
     std::string id;
+    /** Registry index (serve::kNoMachineIndex by hand); not JSON. */
+    std::uint32_t index = serve::kNoMachineIndex;
     ModelQuality quality = ModelQuality::Unknown;
     std::uint64_t referenceSamples = 0; ///< Residuals consumed.
     std::uint64_t windowFill = 0;       ///< Residuals in the window.
@@ -103,7 +113,7 @@ class FleetMonitor : public serve::SampleObserver
                   double meteredW) override;
     void onModelSwap(const std::string &machineId) override;
 
-    /** Consistent per-machine quality view (locks each entry). */
+    /** Consistent per-machine quality view (takes no entry lock). */
     QualitySnapshot snapshot() const;
 
     /**
@@ -140,29 +150,55 @@ class FleetMonitor : public serve::SampleObserver
     bool machineDrifted(const std::string &id) const;
 
     /** Number of monitored machines. */
-    std::size_t numMachines() const { return slots_.size(); }
+    std::size_t numMachines() const { return numSlots_; }
 
     /** The configuration the monitor was built with. */
     const QualityMonitorConfig &config() const { return config_; }
 
   private:
-    struct Slot
+    /**
+     * What snapshot() reads of one tracker: one cache line, next to
+     * the tracker state onSample is already writing.
+     */
+    struct alignas(64) Published
     {
-        serve::MachineEntry *entry = nullptr;
-        std::string id;
-        RollingQuality rolling;
-        Slot(serve::MachineEntry *e, std::string machineId,
-             QualityMonitorConfig cfg)
-            : entry(e), id(std::move(machineId)), rolling(cfg)
-        {}
+        SeqLock lock;
+        std::atomic<std::uint32_t> flags{0}; ///< Quality, drifted.
+        std::atomic<std::uint64_t> samples{0};
+        std::atomic<std::uint64_t> fill{0};
+        std::atomic<double> sumW{0.0};
+        std::atomic<double> sumSqW{0.0};
+        std::atomic<double> driftStatistic{0.0};
+        double envelopeSpanW = 0.0;  ///< Fixed at attach().
+        std::uint32_t machineIndex = 0;
     };
 
-    /** Slot for @p id, or nullptr when the machine is unmonitored. */
+    /** One monitored machine (tracker touched under its mutex). */
+    struct Slot
+    {
+        Published published;
+        serve::MachineEntry *entry = nullptr;
+        RollingQuality rolling;
+    };
+
+    static constexpr std::uint32_t kUnmonitored = 0xffffffffu;
+
+    /** Slot of machine @p id, or nullptr when unmonitored. */
     Slot *findSlot(const std::string &id) const;
+
+    /** Republish @p slot's tracker (its entry mutex held). */
+    static void publish(Slot &slot);
 
     QualityMonitorConfig config_;
     serve::FleetServer *server_ = nullptr;
-    std::vector<std::unique_ptr<Slot>> slots_; ///< Sorted by id.
+    /** The server last attached to: resolves ids after detach(). */
+    serve::FleetServer *fleet_ = nullptr;
+    /** Sorted by id; sized once, since entries point into it. */
+    std::unique_ptr<Slot[]> slots_;
+    std::size_t numSlots_ = 0;
+    std::vector<std::string> ids_;            ///< Aligned with slots_.
+    /** Machine index -> position in slots_ (kUnmonitored if none). */
+    std::vector<std::uint32_t> positionOf_;
     std::atomic<std::uint64_t> driftEvents_{0};
     std::function<void(const std::string &)> driftListener_;
 };

@@ -66,28 +66,27 @@ RollingQuality::addResidual(double residualW)
 }
 
 double
-RollingQuality::windowRmseW() const
+RollingQuality::rmseOf(double sumSq, std::size_t fill)
 {
     if (fill == 0)
         return 0.0;
-    return std::sqrt(std::max(sumR2, 0.0) /
-                     static_cast<double>(fill));
+    return std::sqrt(std::max(sumSq, 0.0) / static_cast<double>(fill));
 }
 
 double
-RollingQuality::rollingDre() const
+RollingQuality::meanOf(double sum, std::size_t fill)
 {
-    if (!config_.hasEnvelope())
+    if (fill == 0)
+        return 0.0;
+    return sum / static_cast<double>(fill);
+}
+
+double
+RollingQuality::dreOf(double rmseW, double envelopeSpanW)
+{
+    if (std::isnan(envelopeSpanW))
         return std::numeric_limits<double>::quiet_NaN();
-    return windowRmseW() / (config_.maxPowerW - config_.idlePowerW);
-}
-
-double
-RollingQuality::biasW() const
-{
-    if (fill == 0)
-        return 0.0;
-    return sumR / static_cast<double>(fill);
+    return rmseW / envelopeSpanW;
 }
 
 double

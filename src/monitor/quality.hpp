@@ -33,6 +33,7 @@
 #define CHAOS_MONITOR_QUALITY_HPP
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "core/online.hpp"
@@ -84,6 +85,14 @@ struct QualityMonitorConfig
 
     /** True when a DRE denominator is available. */
     bool hasEnvelope() const { return maxPowerW > idlePowerW; }
+
+    /** The DRE denominator Pmax − Pidle; NaN without an envelope. */
+    double
+    envelopeSpanW() const
+    {
+        return hasEnvelope() ? maxPowerW - idlePowerW
+                             : std::numeric_limits<double>::quiet_NaN();
+    }
 };
 
 /** Rolling residual window + drift detector for one machine. */
@@ -109,13 +118,28 @@ class RollingQuality
     std::size_t windowFill() const { return fill; }
 
     /** Rolling root-mean-square residual, watts (0 when empty). */
-    double windowRmseW() const;
+    double windowRmseW() const { return rmseOf(sumR2, fill); }
 
     /** Rolling DRE = windowRmseW / (Pmax − Pidle); NaN w/o envelope. */
-    double rollingDre() const;
+    double rollingDre() const
+    {
+        return dreOf(windowRmseW(), config_.envelopeSpanW());
+    }
 
     /** Rolling mean residual (estimator bias), watts (0 when empty). */
-    double biasW() const;
+    double biasW() const { return meanOf(sumR, fill); }
+
+    /** Sum and sum of squares of the residuals in the window. */
+    double windowSumW() const { return sumR; }
+    double windowSumSqW() const { return sumR2; }
+
+    /**
+     * The report formulas over window sums, so a copy of the sums
+     * (FleetMonitor's published slots) reports bit-identically.
+     */
+    static double rmseOf(double sumSq, std::size_t fill);
+    static double meanOf(double sum, std::size_t fill);
+    static double dreOf(double rmseW, double envelopeSpanW);
 
     /** True once the standardization baseline is fixed. */
     bool warmedUp() const { return total >= config_.warmupSamples; }

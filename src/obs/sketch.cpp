@@ -49,14 +49,90 @@ QuantileSketch::bucketValue(std::int32_t index) const
 }
 
 void
+QuantileSketch::bump(Buckets &buckets, std::int32_t index,
+                     std::uint64_t count)
+{
+    const auto it = std::lower_bound(
+        buckets.begin(), buckets.end(), index,
+        [](const auto &bucket, std::int32_t i) {
+            return bucket.first < i;
+        });
+    if (it != buckets.end() && it->first == index) {
+        it->second += count;
+        return;
+    }
+    const auto at = it - buckets.begin();
+    if (buckets.capacity() == 0)
+        buckets.reserve(4); // Skip the 1, 2, 4 growth steps.
+    buckets.insert(buckets.begin() + at, {index, count});
+}
+
+void
+QuantileSketch::mergeBuckets(Buckets &into,
+                             const QuantileSketch *const *others,
+                             std::size_t n, Buckets QuantileSketch::*side)
+{
+    std::size_t entries = into.size();
+    std::int32_t lo = into.empty() ? 0 : into.front().first;
+    std::int32_t hi = into.empty() ? 0 : into.back().first;
+    for (std::size_t k = 0; k < n; ++k) {
+        const Buckets &from = others[k]->*side;
+        if (from.empty())
+            continue;
+        lo = entries == 0 ? from.front().first
+                          : std::min(lo, from.front().first);
+        hi = entries == 0 ? from.back().first
+                          : std::max(hi, from.back().first);
+        entries += from.size();
+    }
+    if (entries == into.size())
+        return;
+    const auto range = static_cast<std::size_t>(
+        static_cast<std::int64_t>(hi) - lo + 1);
+    if (range <= 4 * entries) {
+        // Dense: add every count into its index slot, then compact.
+        std::vector<std::uint64_t> dense(range, 0);
+        for (const auto &[index, count] : into)
+            dense[static_cast<std::size_t>(index - lo)] += count;
+        for (std::size_t k = 0; k < n; ++k) {
+            for (const auto &[index, count] : others[k]->*side)
+                dense[static_cast<std::size_t>(index - lo)] += count;
+        }
+        into.clear();
+        for (std::size_t i = 0; i < range; ++i) {
+            if (dense[i] != 0)
+                into.emplace_back(static_cast<std::int32_t>(lo + i),
+                                  dense[i]);
+        }
+        return;
+    }
+    // Sparse: concatenate, sort by index, sum equal indices.
+    into.reserve(entries);
+    for (std::size_t k = 0; k < n; ++k) {
+        const Buckets &from = others[k]->*side;
+        into.insert(into.end(), from.begin(), from.end());
+    }
+    std::sort(into.begin(), into.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < into.size(); ++i) {
+        if (out > 0 && into[out - 1].first == into[i].first)
+            into[out - 1].second += into[i].second;
+        else
+            into[out++] = into[i];
+    }
+    into.resize(out);
+}
+
+void
 QuantileSketch::add(double v, std::uint64_t count)
 {
     if (count == 0 || !std::isfinite(v))
         return;
     if (v > kMinIndexable)
-        positive_[bucketIndex(v)] += count;
+        bump(positive_, bucketIndex(v), count);
     else if (v < -kMinIndexable)
-        negative_[bucketIndex(-v)] += count;
+        bump(negative_, bucketIndex(-v), count);
     else
         zero_ += count;
     total_ += count;
@@ -67,16 +143,26 @@ QuantileSketch::add(double v, std::uint64_t count)
 bool
 QuantileSketch::merge(const QuantileSketch &other)
 {
-    if (alpha_ != other.alpha_)
-        return false;
-    for (const auto &[index, count] : other.positive_)
-        positive_[index] += count;
-    for (const auto &[index, count] : other.negative_)
-        negative_[index] += count;
-    zero_ += other.zero_;
-    total_ += other.total_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    const QuantileSketch *one = &other;
+    return mergeAll(&one, 1);
+}
+
+bool
+QuantileSketch::mergeAll(const QuantileSketch *const *others,
+                         std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        if (others[k]->alpha_ != alpha_)
+            return false;
+    }
+    mergeBuckets(positive_, others, n, &QuantileSketch::positive_);
+    mergeBuckets(negative_, others, n, &QuantileSketch::negative_);
+    for (std::size_t k = 0; k < n; ++k) {
+        zero_ += others[k]->zero_;
+        total_ += others[k]->total_;
+        min_ = std::min(min_, others[k]->min_);
+        max_ = std::max(max_, others[k]->max_);
+    }
     return true;
 }
 
@@ -112,12 +198,9 @@ QuantileSketch::quantile(double q) const
 std::size_t
 QuantileSketch::memoryBytes() const
 {
-    // std::map node: payload + two colored child pointers + parent.
-    constexpr std::size_t kNodeBytes =
-        sizeof(std::pair<std::int32_t, std::uint64_t>) +
-        4 * sizeof(void *);
     return sizeof(*this) +
-           (positive_.size() + negative_.size()) * kNodeBytes;
+           (positive_.capacity() + negative_.capacity()) *
+               sizeof(Buckets::value_type);
 }
 
 void

@@ -30,8 +30,9 @@
 #define CHAOS_OBS_SKETCH_HPP
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace chaos::obs {
 
@@ -60,6 +61,15 @@ class QuantileSketch
      *         sketches were built with different accuracies.
      */
     bool merge(const QuantileSketch &other);
+
+    /**
+     * Fold @p n sketches in at once: the same result as n merge()
+     * calls in any order (counts add, min/max commute), in one pass
+     * over their buckets instead of one pass over this sketch's per
+     * call. @return False (leaving this sketch untouched) when any
+     * accuracy differs.
+     */
+    bool mergeAll(const QuantileSketch *const *others, std::size_t n);
 
     /** Total recorded occurrences. */
     std::uint64_t count() const { return total_; }
@@ -105,6 +115,15 @@ class QuantileSketch
     std::string toJson() const;
 
   private:
+    /** Occupied buckets as (index, count), ascending index. */
+    using Buckets = std::vector<std::pair<std::int32_t, std::uint64_t>>;
+
+    static void bump(Buckets &buckets, std::int32_t index,
+                     std::uint64_t count);
+    static void mergeBuckets(Buckets &into,
+                             const QuantileSketch *const *others,
+                             std::size_t n, Buckets QuantileSketch::*side);
+
     std::int32_t bucketIndex(double magnitude) const;
     double bucketValue(std::int32_t index) const;
 
@@ -115,8 +134,8 @@ class QuantileSketch
     std::uint64_t zero_ = 0;
     double min_;
     double max_;
-    std::map<std::int32_t, std::uint64_t> positive_;
-    std::map<std::int32_t, std::uint64_t> negative_;
+    Buckets positive_;
+    Buckets negative_;
 };
 
 } // namespace chaos::obs

@@ -57,7 +57,35 @@ LiveRollupFeed::place(const std::string &id,
                       const std::string &platform)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    placements_[id] = Placement{groupPath, platform};
+    placements_[id] =
+        Resolved{tree_.group(groupPath), tree_.platform(platform)};
+    // A moved machine binds afresh on the next observe().
+    machineOf_.clear();
+}
+
+std::uint32_t
+LiveRollupFeed::bind(const serve::MachineSnapshot &row)
+{
+    const bool indexed = row.index != serve::kNoMachineIndex;
+    if (indexed && row.index < machineOf_.size() &&
+        machineOf_[row.index] != kUnbound)
+        return machineOf_[row.index];
+    // Edge: resolve the id through its placement, with the honest
+    // catch-all for unplaced machines.
+    const auto it = placements_.find(row.id);
+    const Resolved where =
+        it != placements_.end()
+            ? it->second
+            : Resolved{tree_.group(kUnplacedGroup),
+                       tree_.platform("unknown")};
+    const std::uint32_t machine =
+        tree_.machine(where.group, row.id, where.platform);
+    if (indexed) {
+        if (row.index >= machineOf_.size())
+            machineOf_.resize(row.index + 1, kUnbound);
+        machineOf_[row.index] = machine;
+    }
+    return machine;
 }
 
 void
@@ -65,41 +93,61 @@ LiveRollupFeed::observe(const serve::FleetSnapshot &fleet,
                         const monitor::QualitySnapshot &quality)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // Both machine lists are sorted by id: linear merge join.
+    // Index the quality rows by machine index; rows built by hand
+    // carry none and fall back to the merge join on sorted ids.
+    const std::uint64_t stamp = ++observed_;
+    bool byIndex = true;
+    for (std::size_t qi = 0; qi < quality.machines.size(); ++qi) {
+        const std::uint32_t index = quality.machines[qi].index;
+        if (index == serve::kNoMachineIndex) {
+            byIndex = false;
+            break;
+        }
+        if (index >= qualityStamp_.size()) {
+            qualityStamp_.resize(index + 1, 0);
+            qualityRow_.resize(index + 1, 0);
+        }
+        qualityStamp_[index] = stamp;
+        qualityRow_[index] = static_cast<std::uint32_t>(qi);
+    }
+
     std::size_t qi = 0;
     for (const serve::MachineSnapshot &ms : fleet.machines) {
-        while (qi < quality.machines.size() &&
-               quality.machines[qi].id < ms.id)
-            ++qi;
+        const monitor::MachineQualityReport *q = nullptr;
+        if (byIndex && ms.index != serve::kNoMachineIndex) {
+            if (ms.index < qualityStamp_.size() &&
+                qualityStamp_[ms.index] == stamp)
+                q = &quality.machines[qualityRow_[ms.index]];
+        } else {
+            while (qi < quality.machines.size() &&
+                   quality.machines[qi].id < ms.id)
+                ++qi;
+            if (qi < quality.machines.size() &&
+                quality.machines[qi].id == ms.id)
+                q = &quality.machines[qi];
+        }
 
-        MachineObservation m;
-        m.id = ms.id;
+        MachineState &m = tree_.state(bind(ms));
         m.watts = ms.watts;
         m.samples = ms.samples;
-        m.referenceSamples = ms.residualSamples;
         m.dropped = ms.dropped;
         m.health = ms.health;
         m.quality = ms.quality;
         m.quarantined = ms.quarantined;
-        m.biasW = ms.meanResidualW;
-        m.rollingDre = kNaN;
-
-        if (qi < quality.machines.size() &&
-            quality.machines[qi].id == ms.id) {
-            const monitor::MachineQualityReport &q =
-                quality.machines[qi];
-            m.windowRmseW = q.windowRmseW;
-            m.rollingDre = q.rollingDre;
-            m.biasW = q.biasW;
-            m.drifted = q.drifted;
-            m.referenceSamples = q.referenceSamples;
+        if (q != nullptr) {
+            m.windowRmseW = q->windowRmseW;
+            m.rollingDre = q->rollingDre;
+            m.biasW = q->biasW;
+            m.drifted = q->drifted;
+            m.referenceSamples = q->referenceSamples;
+        } else {
+            m.windowRmseW = 0.0;
+            m.rollingDre = kNaN;
+            m.biasW = ms.meanResidualW;
+            m.drifted = false;
+            m.referenceSamples = ms.residualSamples;
         }
-
-        std::string path;
-        applyPlacement(placements_, m, path);
-        tree_.update(path, m);
     }
-    ++observed_;
 }
 
 void

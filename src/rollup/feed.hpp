@@ -12,10 +12,14 @@
  *
  *  - LiveRollupFeed joins a FleetServer's FleetSnapshot (watts,
  *    health, quarantine) with the FleetMonitor's QualitySnapshot
- *    (rolling rMSE/DRE, drift) by machine id — both are sorted, so
- *    the join is a linear merge — and upserts one MachineObservation
- *    per machine. attach() hooks the server's periodic-snapshot
- *    callback; observe() serves lockstep replay loops.
+ *    (rolling rMSE/DRE, drift) by registry machine index and writes
+ *    one MachineState per machine into the tree. place() resolves a
+ *    machine's group path and platform to tree ids once; the first
+ *    snapshot row of a machine binds its index to a tree machine, so
+ *    a tick does no string work. Rows built by hand (no index) take
+ *    the id-keyed edge path instead. attach() hooks the server's
+ *    periodic-snapshot callback; observe() serves lockstep replay
+ *    loops.
  *
  *  - JsonlRollupFeed replays the TelemetryExporter's JSONL file
  *    offline through obs::jsonParse. "fleet" and "quality" records
@@ -33,6 +37,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "monitor/fleet_monitor.hpp"
 #include "rollup/rollup.hpp"
@@ -62,9 +68,10 @@ class LiveRollupFeed
                const std::string &platform);
 
     /**
-     * Join one fleet snapshot with one quality snapshot (merge join
-     * on machine id; machines absent from @p quality keep NaN DRE)
-     * and upsert every machine into the tree.
+     * Join one fleet snapshot with one quality snapshot (on machine
+     * index, or on id for rows without one; machines absent from
+     * @p quality keep NaN DRE) and upsert every machine into the
+     * tree. Indexed rows must come from one server's registry.
      */
     void observe(const serve::FleetSnapshot &fleet,
                  const monitor::QualitySnapshot &quality);
@@ -87,8 +94,25 @@ class LiveRollupFeed
     std::uint64_t observed() const;
 
   private:
+    /** A placement resolved to tree ids. */
+    struct Resolved
+    {
+        std::uint32_t group = 0;
+        std::uint32_t platform = 0;
+    };
+
+    static constexpr std::uint32_t kUnbound = 0xffffffffu;
+
+    /** Tree machine of @p row, binding its index on first sight. */
+    std::uint32_t bind(const serve::MachineSnapshot &row);
+
     RollupTree &tree_;
-    std::map<std::string, Placement> placements_;
+    std::unordered_map<std::string, Resolved> placements_;
+    /** Registry machine index -> tree machine (kUnbound if none). */
+    std::vector<std::uint32_t> machineOf_;
+    /** Per-tick join scratch, by registry machine index. */
+    std::vector<std::uint32_t> qualityRow_;
+    std::vector<std::uint64_t> qualityStamp_;
     std::uint64_t observed_ = 0;
     mutable std::mutex mu_;
 };

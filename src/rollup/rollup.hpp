@@ -8,7 +8,7 @@
  * Answering "which rack is drifting?" or "what is the p99 DRE across
  * the row?" at 10k–100k machines must not require replaying every
  * machine's telemetry: this layer arranges machines under recursively
- * nestable AggregationNodes (machine → fleet → rack → row →
+ * nestable groups (machine → fleet → rack → row →
  * datacenter — any depth works, the levels are just path segments)
  * and rolls per-machine observations up the tree as mergeable
  * aggregates:
@@ -26,14 +26,21 @@
  *    tournament so every level can name its worst offenders without
  *    carrying full machine lists.
  *
- * Determinism: children and machines are kept in sorted maps, merges
- * happen in that fixed order, and every aggregate is either integer,
- * commutative (min/max), sketch (integer bucket counts), or a double
- * sum taken in traversal order — so aggregate() serializes to
- * bit-identical JSON for any CHAOS_THREADS and any feed order that
- * ends in the same per-machine state. The top-level fan-out runs
- * through util/parallel with an index-ordered merge, the same pattern
- * the training pipeline uses.
+ * Layout: nodes and machines live in flat arrays addressed by integer
+ * ids. A node keeps its children sorted by name and its machines
+ * sorted by id, so the fold visits them in a fixed order, and a
+ * machine's state is a string-free MachineState. Strings stay at the
+ * edges: group paths and machine ids resolve to ids once
+ * (group(), machine()) or per call on the update(path, observation)
+ * edge API, and NodeSummary output names nodes, platforms and the
+ * worst machines. A per-tick feed writes MachineStates by machine id
+ * and calls aggregate(), which folds over integer ids serially.
+ *
+ * Determinism: every aggregate is either integer, commutative
+ * (min/max), sketch (integer bucket counts), or a double sum taken in
+ * that fixed traversal order — so aggregate() serializes to
+ * bit-identical JSON for any feed order that ends in the same
+ * per-machine state.
  *
  * Threading: updates and aggregation are externally synchronized (the
  * feeds in feed.hpp serialize them); aggregate() is const and takes
@@ -43,9 +50,10 @@
 #define CHAOS_ROLLUP_ROLLUP_HPP
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/online.hpp"
@@ -53,12 +61,9 @@
 
 namespace chaos::rollup {
 
-/** One machine's latest state, as fed to the tree. */
-struct MachineObservation
+/** One machine's latest state, without its id and platform. */
+struct MachineState
 {
-    std::string id;
-    /** Machine-class name ("Core2"); "unknown" when unmapped. */
-    std::string platform = "unknown";
     double watts = 0.0;            ///< Contribution to the cluster sum.
     double windowRmseW = 0.0;      ///< Rolling window rMSE, watts.
     /** Rolling DRE (Eq. 6); NaN without references or envelope. */
@@ -71,6 +76,14 @@ struct MachineObservation
     ModelQuality quality = ModelQuality::Unknown;
     bool quarantined = false;      ///< Serving a substitute model.
     bool drifted = false;          ///< Drift detector latched.
+};
+
+/** One machine's latest state, as fed to the tree by name. */
+struct MachineObservation : MachineState
+{
+    std::string id;
+    /** Machine-class name ("Core2"); "unknown" when unmapped. */
+    std::string platform = "unknown";
 };
 
 /** Roll-up knobs, fixed for the life of a tree. */
@@ -159,6 +172,15 @@ struct RollupStats
     /** Fold a sibling/child aggregate in (associative). */
     void merge(const RollupStats &other, std::size_t worstN);
 
+    /**
+     * The parts of addMachine() and merge() that need no names:
+     * counts, sums and sketch points (mergeTotals leaves the
+     * sketches to the caller), without the platform slices and the
+     * ranking (RollupTree keeps those by integer id).
+     */
+    void addState(const MachineState &m);
+    void mergeTotals(const RollupStats &other);
+
     /** Drifting fraction of metered machines across the subtree. */
     double driftRate() const
     {
@@ -191,84 +213,117 @@ struct NodeSummary
     std::string toJson() const;
 };
 
-/** One interior node: child groups plus directly attached machines. */
-class AggregationNode
-{
-  public:
-    explicit AggregationNode(std::string name) : name_(std::move(name))
-    {}
-
-    const std::string &name() const { return name_; }
-
-    /** Find-or-create the child group @p name. */
-    AggregationNode &child(const std::string &name);
-
-    /** Insert or replace machine @p m (keyed by m.id) at this node. */
-    void upsertMachine(const MachineObservation &m);
-
-    /** Nodes in this subtree, including this one. */
-    std::size_t numNodes() const;
-
-    /** Machines attached anywhere in this subtree. */
-    std::size_t numMachines() const;
-
-    /** Approximate heap footprint of the subtree, bytes. */
-    std::size_t memoryBytes() const;
-
-    /**
-     * Roll this subtree up (serial). @p path is this node's full
-     * group path; @p depth its distance from the root.
-     */
-    NodeSummary aggregate(const RollupConfig &config,
-                          const std::string &path,
-                          std::size_t depth) const;
-
-  private:
-    friend class RollupTree;
-
-    std::string name_;
-    std::map<std::string, std::unique_ptr<AggregationNode>> children_;
-    std::map<std::string, MachineObservation> machines_;
-};
-
-/** The roll-up tree: path-addressed updates, one-call aggregation. */
+/** The roll-up tree: integer-addressed nodes and machines. */
 class RollupTree
 {
   public:
+    /** Node id of the root group (""). */
+    static constexpr std::uint32_t kRoot = 0;
+
     explicit RollupTree(RollupConfig config = {});
 
     /**
      * Insert or replace one machine's observation under group
      * @p groupPath ("dc0/row1/rack2/fleet0"; "" attaches to the
      * root). Segments are created on first use — the tree *is* the
-     * topology. The machine is keyed by m.id within the group.
+     * topology. The machine is keyed by m.id within the group. The
+     * string edge: it resolves the path, platform and id per call.
      */
     void update(const std::string &groupPath,
                 const MachineObservation &m);
 
     /**
-     * One full aggregation pass. The root's children are aggregated
-     * through util/parallel (one task per child, results merged in
-     * sorted-name order), so wall time scales down with
-     * CHAOS_THREADS while the result stays bit-identical.
+     * Node id of group @p groupPath, created (empty) when new. An
+     * empty group shows in aggregate() only once a machine is placed
+     * under it. Ids stay valid for the life of the tree.
      */
+    std::uint32_t group(const std::string &groupPath);
+
+    /** Dense id of platform name @p name, added when new. */
+    std::uint32_t platform(const std::string &name);
+
+    /**
+     * Machine id of machine @p id under group node @p group, created
+     * when new; sets its platform. Ids stay valid for the life of
+     * the tree, so a feed resolves each machine once and then writes
+     * state(machine) per tick.
+     */
+    std::uint32_t machine(std::uint32_t group, const std::string &id,
+                          std::uint32_t platform);
+
+    /** The state aggregate() reads for machine id @p machine. */
+    MachineState &state(std::uint32_t machine)
+    {
+        return machines_[machine].state;
+    }
+
+    /** One full aggregation pass, serial, in the fixed order. */
     NodeSummary aggregate() const;
 
     /** Machines currently in the tree. */
-    std::size_t numMachines() const { return root_.numMachines(); }
+    std::size_t numMachines() const { return machines_.size(); }
 
-    /** Aggregation nodes currently in the tree (incl. the root). */
-    std::size_t numNodes() const { return root_.numNodes(); }
+    /** Aggregation nodes holding machines (incl. the root). */
+    std::size_t numNodes() const { return liveNodes_; }
 
     /** Approximate heap footprint of the tree, bytes. */
-    std::size_t memoryBytes() const { return root_.memoryBytes(); }
+    std::size_t memoryBytes() const;
 
     /** The configuration the tree was built with. */
     const RollupConfig &config() const { return cfg_; }
 
   private:
+    struct Node
+    {
+        std::string name;
+        std::string path;     ///< Full group path ("" for the root).
+        std::uint32_t parent = 0;
+        std::uint32_t depth = 0;
+        bool live = false;    ///< Some machine lives in the subtree.
+        std::vector<std::uint32_t> children; ///< Sorted by name.
+        std::vector<std::uint32_t> machines; ///< Sorted by id.
+    };
+
+    struct Machine
+    {
+        MachineState state;
+        std::uint32_t node = 0;
+        std::uint32_t platform = 0;
+    };
+
+    /** A ranking entry before it is named (see MachineRank). */
+    struct RankRef
+    {
+        double rollingDre = 0.0;
+        double windowRmseW = 0.0;
+        std::uint32_t machine = 0;
+        bool drifted = false;
+    };
+
+    /** Per-depth fold scratch: platform slices and ranking. */
+    struct FoldLevel
+    {
+        std::vector<PlatformStats> platforms;
+        std::vector<RankRef> worst;
+        std::vector<RankRef> merged; ///< Ranking merge target.
+        std::vector<const obs::QuantileSketch *> sketches;
+    };
+
+    bool rankBefore(const RankRef &a, const RankRef &b) const;
+    void rankInsert(std::vector<RankRef> &worst,
+                    const RankRef &rank) const;
+    NodeSummary fold(std::uint32_t node,
+                     std::vector<FoldLevel> &levels) const;
+
     RollupConfig cfg_;
-    AggregationNode root_{""};
+    std::vector<Node> nodes_;
+    std::vector<Machine> machines_;
+    std::vector<std::string> ids_;        ///< By machine id.
+    std::vector<std::string> platforms_;  ///< By platform id.
+    /** Group path as spelled by callers -> node id. */
+    std::unordered_map<std::string, std::uint32_t> groups_;
+    std::size_t liveNodes_ = 1;
+    std::uint32_t maxDepth_ = 0;
 };
 
 } // namespace chaos::rollup

@@ -11,6 +11,31 @@
 
 namespace chaos::serve {
 
+MachineEntry::MachineEntry(std::string machineId, std::uint32_t index,
+                           std::uint32_t shard, MachineStateSlot &state,
+                           MachinePowerModel model,
+                           OnlineEstimatorConfig config)
+    : id_(std::move(machineId)), index_(index), shard_(shard),
+      state_(state), estimator_(std::move(model), std::move(config))
+{
+    publishLocked();
+}
+
+void
+MachineEntry::publishLocked()
+{
+    MachineStateSlot::Values v;
+    v.watts = servedWattsLocked();
+    v.modelW = estimator_.lastEstimateW();
+    v.meanResidualW = estimator_.residuals().mean();
+    v.samples = estimator_.samples();
+    v.residualSamples = estimator_.residuals().count();
+    v.health = estimator_.health();
+    v.quality = estimator_.modelQuality();
+    v.quarantined = quarantined_;
+    state_.store(v);
+}
+
 void
 MachineEntry::engageQuarantine(
     std::shared_ptr<const MachinePowerModel> substitute)
@@ -28,6 +53,7 @@ MachineEntry::engageQuarantine(
     // regime, not the pre-drift samples that trained the incumbent.
     ref_.head = 0;
     ref_.fill = 0;
+    publishLocked();
 }
 
 void
@@ -37,6 +63,7 @@ MachineEntry::liftQuarantine()
     quarantined_ = false;
     substituteModel_.reset();
     substituteW_ = std::numeric_limits<double>::quiet_NaN();
+    publishLocked();
 }
 
 bool
@@ -203,19 +230,24 @@ EstimatorRegistry::add(const std::string &machineId,
         config.sourceLabel = machineId;
 
     Shard &shard = shards[shardOf(machineId)];
-    auto entry = std::make_unique<MachineEntry>(
-        machineId, std::move(model), std::move(config));
-
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] =
-        shard.entries.try_emplace(machineId, std::move(entry));
-    raiseIf(!inserted,
+    raiseIf(shard.entries.count(machineId) != 0,
             "registry: duplicate machine id '" + machineId + "'");
     std::lock_guard<std::mutex> orderLock(orderMu);
-    byIdSorted = byIdSorted && (byId.empty() ||
-                                byId.back()->id() < machineId);
-    byId.push_back(it->second.get());
-    return *it->second;
+    const auto index = static_cast<std::uint32_t>(entries.size());
+    if (index % kStateBlock == 0)
+        blocks.push_back(std::make_unique<StateBlock>());
+    entries.push_back(std::make_unique<MachineEntry>(
+        machineId, index,
+        static_cast<std::uint32_t>(shardOf(machineId)),
+        slotLocked(index), std::move(model), std::move(config)));
+    idTable.push_back(machineId);
+    byIdSorted = byIdSorted &&
+                 (byId.empty() || idTable[byId.back()] < machineId);
+    byId.push_back(index);
+    MachineEntry &entry = *entries.back();
+    shard.entries.emplace(machineId, &entry);
+    return entry;
 }
 
 MachineEntry *
@@ -224,7 +256,7 @@ EstimatorRegistry::find(const std::string &machineId)
     Shard &shard = shards[shardOf(machineId)];
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.entries.find(machineId);
-    return it == shard.entries.end() ? nullptr : it->second.get();
+    return it == shard.entries.end() ? nullptr : it->second;
 }
 
 void
@@ -250,30 +282,29 @@ std::size_t
 EstimatorRegistry::size() const
 {
     std::lock_guard<std::mutex> lock(orderMu);
-    return byId.size();
+    return entries.size();
 }
 
 std::vector<std::string>
 EstimatorRegistry::ids() const
 {
     std::vector<std::string> out;
-    for (const MachineEntry *entry : entriesById())
-        out.push_back(entry->id());
+    forEachById(
+        [&](const std::string &id, const MachineStateSlot &,
+            std::uint32_t) { out.push_back(id); });
     return out;
 }
 
-std::vector<MachineEntry *>
-EstimatorRegistry::entriesById() const
+void
+EstimatorRegistry::sortLocked() const
 {
-    std::lock_guard<std::mutex> lock(orderMu);
-    if (!byIdSorted) {
-        std::sort(byId.begin(), byId.end(),
-                  [](const MachineEntry *a, const MachineEntry *b) {
-                      return a->id() < b->id();
-                  });
-        byIdSorted = true;
-    }
-    return byId;
+    if (byIdSorted)
+        return;
+    std::sort(byId.begin(), byId.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return idTable[a] < idTable[b];
+              });
+    byIdSorted = true;
 }
 
 } // namespace chaos::serve

@@ -1,13 +1,25 @@
 /**
  * @file
  * Sharded estimator registry: the serving-side home of one
- * OnlinePowerEstimator per fleet machine, keyed by machine id.
+ * OnlinePowerEstimator per fleet machine.
  *
- * Lookups are lock-striped: machine ids hash onto a fixed set of
- * shards, each with its own mutex, so concurrent producers resolving
- * different machines rarely contend. Entry addresses are stable for
- * the life of the registry (entries are never removed), which lets
- * the ingestion queues carry raw MachineEntry pointers.
+ * Every machine gets a dense index at add() (0, 1, 2, ... in
+ * registration order). The id string is an edge concern: add() and
+ * find() take it, snapshot export writes it. Everything per sample or
+ * per tick is addressed by the index or by the MachineEntry pointer:
+ * the machine's queue shard is fixed at add(), and the fields a fleet
+ * snapshot reads live in index-addressed MachineStateSlots, 64 bytes
+ * each in blocks of kStateBlock, published by the entry under its
+ * mutex and read without it.
+ *
+ * Ids hash onto a fixed set of shards: lookups by id are lock-striped
+ * by it (each stripe has its own mutex, so concurrent producers
+ * resolving different machines rarely contend), and the id's shard,
+ * hashed once at add(), is also the machine's queue shard. Entry and
+ * slot addresses are
+ * stable for the life of the registry (machines are never removed),
+ * which lets the ingestion queues carry raw MachineEntry pointers and
+ * lets add() run while the server is draining.
  *
  * Each entry carries its own mutex guarding the (stateful) estimator.
  * Model hot-swap takes only that entry mutex, so swapping one
@@ -17,17 +29,98 @@
 #ifndef CHAOS_SERVE_REGISTRY_HPP
 #define CHAOS_SERVE_REGISTRY_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/online.hpp"
+#include "util/seqlock.hpp"
 
 namespace chaos::serve {
+
+/** "No machine index": a snapshot row built outside a registry. */
+inline constexpr std::uint32_t kNoMachineIndex = 0xffffffffu;
+
+/**
+ * The fields of one machine that a fleet snapshot reads, in one cache
+ * line. The owning MachineEntry publishes them under its mutex (so
+ * writes are serialized) and readers take no lock: a SeqLock keeps
+ * each reading consistent.
+ */
+class alignas(64) MachineStateSlot
+{
+  public:
+    /** One consistent reading of the slot. */
+    struct Values
+    {
+        double watts = 0.0;   ///< Served: substitute while quarantined.
+        double modelW = 0.0;  ///< Deployed model's raw estimate.
+        double meanResidualW = 0.0;
+        std::uint64_t samples = 0;
+        std::uint64_t residualSamples = 0;
+        MachineHealth health = MachineHealth::Healthy;
+        ModelQuality quality = ModelQuality::Unknown;
+        bool quarantined = false;
+    };
+
+    /** Publish @p v (writers serialized by the entry mutex). */
+    void
+    store(const Values &v)
+    {
+        constexpr auto relaxed = std::memory_order_relaxed;
+        lock_.write([&] {
+            watts_.store(v.watts, relaxed);
+            modelW_.store(v.modelW, relaxed);
+            meanResidualW_.store(v.meanResidualW, relaxed);
+            samples_.store(v.samples, relaxed);
+            residualSamples_.store(v.residualSamples, relaxed);
+            flags_.store(static_cast<std::uint32_t>(v.health) |
+                             static_cast<std::uint32_t>(v.quality) << 8 |
+                             static_cast<std::uint32_t>(v.quarantined)
+                                 << 16,
+                         relaxed);
+        });
+    }
+
+    /** The latest published values, never torn. */
+    Values
+    load() const
+    {
+        constexpr auto relaxed = std::memory_order_relaxed;
+        Values v;
+        std::uint32_t f = 0;
+        lock_.read([&] {
+            v.watts = watts_.load(relaxed);
+            v.modelW = modelW_.load(relaxed);
+            v.meanResidualW = meanResidualW_.load(relaxed);
+            v.samples = samples_.load(relaxed);
+            v.residualSamples = residualSamples_.load(relaxed);
+            f = flags_.load(relaxed);
+        });
+        v.health = static_cast<MachineHealth>(f & 0xff);
+        v.quality = static_cast<ModelQuality>((f >> 8) & 0xff);
+        v.quarantined = ((f >> 16) & 1) != 0;
+        return v;
+    }
+
+    /** Backpressure drops (producers add without the entry mutex). */
+    std::atomic<std::uint64_t> drops{0};
+
+  private:
+    SeqLock lock_;
+    std::atomic<std::uint32_t> flags_{0};
+    std::atomic<double> watts_{0.0};
+    std::atomic<double> modelW_{0.0};
+    std::atomic<double> meanResidualW_{0.0};
+    std::atomic<std::uint64_t> samples_{0};
+    std::atomic<std::uint64_t> residualSamples_{0};
+};
 
 /**
  * One registered machine: id + mutex-guarded online estimator, plus
@@ -45,25 +138,38 @@ namespace chaos::serve {
 class MachineEntry
 {
   public:
-    MachineEntry(std::string machineId, MachinePowerModel model,
-                 OnlineEstimatorConfig config)
-        : id_(std::move(machineId)),
-          estimator_(std::move(model), std::move(config))
-    {}
+    MachineEntry(std::string machineId, std::uint32_t index,
+                 std::uint32_t shard, MachineStateSlot &state,
+                 MachinePowerModel model, OnlineEstimatorConfig config);
 
     /** The machine id this entry was registered under. */
     const std::string &id() const { return id_; }
 
+    /** Dense registration index (0, 1, 2, ...; see file comment). */
+    std::uint32_t index() const { return index_; }
+
+    /** The queue shard this machine's samples go to (its id's). */
+    std::uint32_t shard() const { return shard_; }
+
     /**
      * Run @p fn with exclusive access to the estimator. All estimator
-     * use (predictions, hot-swap, snapshot reads) goes through here.
+     * use (predictions, hot-swap, quality verdicts) goes through
+     * here; the snapshot fields are republished before the mutex is
+     * released, so whatever @p fn changed is what snapshots see.
      */
     template <typename Fn>
     auto
     withEstimator(Fn &&fn)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        return fn(estimator_);
+        if constexpr (std::is_void_v<decltype(fn(estimator_))>) {
+            fn(estimator_);
+            publishLocked();
+        } else {
+            auto result = fn(estimator_);
+            publishLocked();
+            return result;
+        }
     }
 
     /**
@@ -86,14 +192,14 @@ class MachineEntry
     void
     noteDrop()
     {
-        drops_.fetch_add(1, std::memory_order_relaxed);
+        state_.drops.fetch_add(1, std::memory_order_relaxed);
     }
 
     /** Samples of this machine dropped by queue backpressure. */
     std::uint64_t
     droppedSamples() const
     {
-        return drops_.load(std::memory_order_relaxed);
+        return state_.drops.load(std::memory_order_relaxed);
     }
 
     // ---- Quarantine --------------------------------------------------
@@ -199,6 +305,9 @@ class MachineEntry
     void onModelSwappedLocked();
 
   private:
+    /** Copy the snapshot fields into the state slot (mutex held). */
+    void publishLocked();
+
     struct ShadowState
     {
         MachinePowerModel candidate;
@@ -221,6 +330,9 @@ class MachineEntry
     };
 
     std::string id_;
+    std::uint32_t index_;
+    std::uint32_t shard_;
+    MachineStateSlot &state_;
     std::mutex mu_;
     OnlinePowerEstimator estimator_;
     void *observerState_ = nullptr;
@@ -231,10 +343,9 @@ class MachineEntry
     std::shared_ptr<const MachinePowerModel> substituteModel_;
     std::unique_ptr<ShadowState> shadow_;
     ReferenceRing ref_;
-    std::atomic<std::uint64_t> drops_{0};
 };
 
-/** Lock-striped map of machine id -> MachineEntry. */
+/** Dense, index-addressed machine table with lock-striped id lookup. */
 class EstimatorRegistry
 {
   public:
@@ -245,7 +356,8 @@ class EstimatorRegistry
      * Register a machine. Raises RecoverableError if @p machineId is
      * already registered or empty. When the estimator config carries
      * no source label, the machine id is used (health events are then
-     * attributable to the machine).
+     * attributable to the machine). The machine gets the next dense
+     * index.
      *
      * @return The stable entry for the new machine.
      */
@@ -271,31 +383,56 @@ class EstimatorRegistry
     std::vector<std::string> ids() const;
 
     /**
-     * All entries, ordered by machine id (deterministic snapshot
-     * order). Entry pointers stay valid for the registry's lifetime.
-     * The order is kept between calls and re-sorted only after add().
+     * Call @p fn(id, slot, index) for every machine in id order (the
+     * deterministic snapshot order), reading the id table and the
+     * state slots in place. Holds the table lock, so add() waits
+     * until the walk ends; @p fn must not call back into the
+     * registry.
      */
-    std::vector<MachineEntry *> entriesById() const;
+    template <typename Fn>
+    void
+    forEachById(Fn &&fn) const
+    {
+        std::lock_guard<std::mutex> lock(orderMu);
+        sortLocked();
+        for (const std::uint32_t index : byId)
+            fn(idTable[index], slotLocked(index), index);
+    }
 
-    /** @return The stripe count. */
+    /** @return The stripe (and queue shard) count. */
     std::size_t numShards() const { return shards.size(); }
 
-    /** @return The shard index @p machineId hashes to. */
+    /** @return The shard (lookup stripe and queue) of @p machineId. */
     std::size_t shardOf(const std::string &machineId) const;
 
   private:
+    /** State slots per contiguous block. */
+    static constexpr std::size_t kStateBlock = 256;
+
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, std::unique_ptr<MachineEntry>>
-            entries;
+        std::unordered_map<std::string, MachineEntry *> entries;
     };
+
+    using StateBlock = std::array<MachineStateSlot, kStateBlock>;
+
+    void sortLocked() const;
+    MachineStateSlot &
+    slotLocked(std::uint32_t index) const
+    {
+        return (*blocks[index / kStateBlock])[index % kStateBlock];
+    }
 
     std::vector<Shard> shards;
 
-    /** Every entry, id-sorted unless an add() since the last sort. */
+    /** The machine table, guarded by orderMu. */
     mutable std::mutex orderMu;
-    mutable std::vector<MachineEntry *> byId;
+    std::vector<std::unique_ptr<MachineEntry>> entries; ///< By index.
+    std::vector<std::string> idTable;                   ///< By index.
+    std::vector<std::unique_ptr<StateBlock>> blocks;
+    /** Indices in id order, unless an add() since the last sort. */
+    mutable std::vector<std::uint32_t> byId;
     mutable bool byIdSorted = true;
 };
 

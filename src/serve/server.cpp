@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -177,7 +178,7 @@ FleetServer::offer(MachineEntry &entry, const double *catalogRow,
                    std::size_t rowSize, double meteredW,
                    std::uint64_t ingestNs)
 {
-    QueueShard &shard = *queueShards[registry.shardOf(entry.id())];
+    QueueShard &shard = *queueShards[entry.shard()];
     if (ingestNs == 0)
         ingestNs = stageStampNs();
     // Count before the push so waitIdle's submitted >= queued +
@@ -197,7 +198,7 @@ void
 FleetServer::submitTo(MachineEntry &entry, const double *catalogRow,
                       std::size_t rowSize, double meteredW)
 {
-    QueueShard &shard = *queueShards[registry.shardOf(entry.id())];
+    QueueShard &shard = *queueShards[entry.shard()];
     // Count the submission before the push: waitIdle() can then rely
     // on submitted >= (queued + processed + dropped) at all times.
     submittedCount.fetch_add(1);
@@ -228,8 +229,8 @@ FleetServer::drainOnce()
     const auto start = std::chrono::steady_clock::now();
     DrainScratch &ds = scratch;
     // The batch array is sized once and its row buffers circulate
-    // with the shard queues' slots (popBatch swaps buffers), so a
-    // steady-state pass never touches the allocator.
+    // with the shard queues' slots (popBatch swaps buffers); the
+    // grouping arrays grow only when a new machine index shows up.
     if (ds.batch.size() < cfg.maxBatch)
         ds.batch.resize(cfg.maxBatch);
     // Stage clocks are read per pass, not per sample: the dequeue
@@ -281,14 +282,24 @@ FleetServer::drainOnce()
     // estimator is stateful); a machine lives on one shard, so the
     // batch holds them in queue order.
     ds.groupEntries.clear();
-    ds.groupIndex.clear();
     ds.sampleGroup.resize(n);
+    const std::uint64_t pass = ++ds.pass;
     for (std::size_t i = 0; i < n; ++i) {
-        const auto [it, inserted] = ds.groupIndex.try_emplace(
-            ds.batch[i].entry, ds.groupEntries.size());
-        if (inserted)
-            ds.groupEntries.push_back(ds.batch[i].entry);
-        ds.sampleGroup[i] = it->second;
+        MachineEntry *entry = ds.batch[i].entry;
+        const std::uint32_t index = entry->index();
+        if (index >= ds.passStamp.size()) {
+            const std::size_t grown =
+                std::max<std::size_t>(registry.size(), index + 1);
+            ds.passStamp.resize(grown, 0);
+            ds.groupOf.resize(grown, 0);
+        }
+        if (ds.passStamp[index] != pass) {
+            ds.passStamp[index] = pass;
+            ds.groupOf[index] =
+                static_cast<std::uint32_t>(ds.groupEntries.size());
+            ds.groupEntries.push_back(entry);
+        }
+        ds.sampleGroup[i] = ds.groupOf[index];
     }
     const std::size_t numGroups = ds.groupEntries.size();
     ds.groupOffset.assign(numGroups + 1, 0);
@@ -320,6 +331,8 @@ FleetServer::drainOnce()
             MachineEntry *entry = ds.groupEntries[g];
             const std::size_t first = ds.groupOffset[g];
             const std::size_t count = ds.groupOffset[g + 1] - first;
+            // withEstimator republishes the machine's snapshot fields
+            // once, when the group is done.
             entry->withEstimator([&](OnlinePowerEstimator &estimator) {
                 // The whole group evaluates in one batched call: one
                 // compiled-plan pass over the packed rows,
@@ -489,22 +502,25 @@ FleetServer::snapshot() const
     snap.samplesSubmitted = submittedCount.load();
     snap.samplesProcessed = processedCount.load();
     snap.samplesDropped = droppedCount.load();
-    const std::vector<MachineEntry *> entries = registry.entriesById();
-    snap.machines.reserve(entries.size());
-    for (MachineEntry *entry : entries) {
-        MachineSnapshot m;
-        m.id = entry->id();
-        entry->withEstimator([&](OnlinePowerEstimator &estimator) {
-            m.modelW = estimator.lastEstimateW();
-            m.watts = entry->servedWattsLocked();
-            m.quarantined = entry->quarantinedLocked();
-            m.health = estimator.health();
-            m.quality = estimator.modelQuality();
-            m.samples = estimator.samples();
-            m.residualSamples = estimator.residuals().count();
-            m.meanResidualW = estimator.residuals().mean();
-        });
-        m.dropped = entry->droppedSamples();
+    // One pass over the id-ordered index table: each machine is one
+    // cache line of published state, read without its entry mutex.
+    snap.machines.reserve(registry.size());
+    registry.forEachById([&](const std::string &id,
+                             const MachineStateSlot &slot,
+                             std::uint32_t index) {
+        const MachineStateSlot::Values v = slot.load();
+        MachineSnapshot &m = snap.machines.emplace_back();
+        m.id = id;
+        m.index = index;
+        m.watts = v.watts;
+        m.modelW = v.modelW;
+        m.quarantined = v.quarantined;
+        m.health = v.health;
+        m.quality = v.quality;
+        m.samples = v.samples;
+        m.residualSamples = v.residualSamples;
+        m.meanResidualW = v.meanResidualW;
+        m.dropped = slot.drops.load(std::memory_order_relaxed);
         snap.clusterW += m.watts;
         if (m.quarantined) {
             ++snap.quarantined;
@@ -518,8 +534,7 @@ FleetServer::snapshot() const
         }
         if (m.quality == ModelQuality::Drifting)
             ++snap.drifting;
-        snap.machines.push_back(std::move(m));
-    }
+    });
     return snap;
 }
 

@@ -41,7 +41,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/registry.hpp"
@@ -81,6 +80,8 @@ struct FleetServerConfig
 struct MachineSnapshot
 {
     std::string id;
+    /** Registry index (kNoMachineIndex when built by hand); not JSON. */
+    std::uint32_t index = kNoMachineIndex;
     /**
      * What this machine contributes to the cluster sum: the most
      * recent estimate, or the quarantine substitute while the
@@ -331,7 +332,9 @@ class FleetServer
      * batch, the counting-sort grouping of it by machine, the sample
      * views handed to estimateBatch, and the per-sample watts. The
      * batch array's row buffers circulate with the shard queues'
-     * slot buffers (popBatch swaps, never frees), so a steady-state
+     * slot buffers (popBatch swaps, never frees), and the grouping is
+     * addressed by machine index (a pass stamp marks the machines
+     * seen this pass), so once the arrays have grown to the fleet a
      * drain pass performs zero heap allocation end to end.
      */
     struct DrainScratch
@@ -345,7 +348,10 @@ class FleetServer
         std::vector<SampleView> views;    ///< Aligned with order.
         std::vector<double> watts;        ///< Aligned with order.
         std::vector<double> waitUs;       ///< Stage-tracing scratch.
-        std::unordered_map<MachineEntry *, std::size_t> groupIndex;
+        /** Per machine index: the pass that last saw it, its group. */
+        std::vector<std::uint64_t> passStamp;
+        std::vector<std::uint32_t> groupOf;
+        std::uint64_t pass = 0;
     };
 
     void drainerLoop();

@@ -6,6 +6,7 @@
  * telemetry export is well-formed JSONL, and the chaos.monitor.*
  * metrics preserve the deterministic-snapshot contract.
  */
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -277,6 +278,55 @@ TEST(FleetMonitor, HotSwapUnderLoadKeepsQualityTransitionsAtomic)
     entry.withEstimator([&](OnlinePowerEstimator &e) {
         EXPECT_EQ(e.modelQuality(), machine.quality);
     });
+}
+
+TEST(FleetMonitor, SnapshotIsConsistentWhileServing)
+{
+    // snapshot() reads each tracker's published line without the
+    // entry lock. Within one publication the window holds
+    // min(samples, windowSamples) residuals; a torn read breaks that.
+    setGlobalThreadCount(2);
+    serve::FleetServerConfig config;
+    config.idleSleepMicros = 20;
+    serve::FleetServer server(config);
+    std::vector<serve::MachineEntry *> entries;
+    for (int m = 0; m < 4; ++m) {
+        entries.push_back(&server.addMachine("m" + std::to_string(m),
+                                             makeTestModel(2)));
+    }
+    monitor::FleetMonitor monitor;
+    monitor.attach(server);
+    const std::uint64_t window = monitor.config().windowSamples;
+    server.start();
+
+    std::atomic<bool> serving{true};
+    std::size_t reads = 0;
+    std::thread reader([&] {
+        while (serving.load()) {
+            for (const auto &m : monitor.snapshot().machines) {
+                EXPECT_EQ(m.windowFill,
+                          std::min(m.referenceSamples, window))
+                    << m.id;
+            }
+            ++reads;
+        }
+    });
+    const std::size_t total = 4000;
+    for (std::size_t i = 0; i < total; ++i) {
+        server.submitTo(*entries[i % entries.size()],
+                        catalogRow(i % 100, 50.0),
+                        30.0 + static_cast<double>(i % 5));
+    }
+    server.waitIdle();
+    serving.store(false);
+    reader.join();
+    server.stop();
+    monitor.detach();
+    setGlobalThreadCount(1);
+
+    EXPECT_GT(reads, 0u);
+    for (const auto &m : monitor.snapshot().machines)
+        EXPECT_EQ(m.referenceSamples, total / entries.size());
 }
 
 TEST(FleetMonitor, TelemetryExportIsWellFormedJsonlPerLine)

@@ -27,6 +27,17 @@ TEST(EstimatorRegistry, AddAndFind)
     EXPECT_EQ(added.id(), "m1");
 }
 
+TEST(EstimatorRegistry, IndicesAreDenseAndShardsFixedAtAdd)
+{
+    EstimatorRegistry registry(4);
+    for (std::uint32_t i = 0; i < 10; ++i) {
+        const std::string id = "m" + std::to_string(9 - i);
+        MachineEntry &entry = registry.add(id, makeTestModel(1));
+        EXPECT_EQ(entry.index(), i);
+        EXPECT_EQ(entry.shard(), registry.shardOf(id));
+    }
+}
+
 TEST(EstimatorRegistry, RejectsEmptyAndDuplicateIds)
 {
     EstimatorRegistry registry(4);
@@ -50,11 +61,17 @@ TEST(EstimatorRegistry, EnumerationIsSortedById)
     EXPECT_EQ(ids[1], "mid");
     EXPECT_EQ(ids[2], "zeta");
 
-    const std::vector<MachineEntry *> entries =
-        registry.entriesById();
-    ASSERT_EQ(entries.size(), 3u);
-    for (size_t i = 0; i < entries.size(); ++i)
-        EXPECT_EQ(entries[i]->id(), ids[i]);
+    std::vector<std::string> visited;
+    std::vector<std::uint32_t> indices;
+    registry.forEachById([&](const std::string &id,
+                             const MachineStateSlot &,
+                             std::uint32_t index) {
+        visited.push_back(id);
+        indices.push_back(index);
+    });
+    EXPECT_EQ(visited, ids);
+    for (size_t i = 0; i < ids.size(); ++i)
+        EXPECT_EQ(registry.find(ids[i])->index(), indices[i]);
 }
 
 TEST(EstimatorRegistry, ShardingIsStableAndInRange)

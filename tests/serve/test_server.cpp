@@ -693,6 +693,68 @@ TEST(FleetServer, SnapshotRingReadWhileDraining)
     EXPECT_EQ(server.snapshots().size(), FleetServer::kRetainedSnapshots);
 }
 
+TEST(FleetServer, OnDemandSnapshotsStayConsistentWhileServing)
+{
+    // Snapshots read the published per-machine slots without entry
+    // locks. Every sample is metered, so in any single publication a
+    // machine's residual count equals its sample count, and an
+    // unquarantined machine serves its model's watts: a torn read
+    // would break one of these. A third thread quarantines and lifts
+    // one machine, a fourth adds machines, all while the drainer runs.
+    setGlobalThreadCount(2);
+    FleetServerConfig config;
+    config.idleSleepMicros = 20;
+    FleetServer server(config);
+    std::vector<MachineEntry *> entries;
+    for (int m = 0; m < 6; ++m) {
+        entries.push_back(&server.addMachine(
+            "m" + std::to_string(m), makeTestModel(5)));
+    }
+    server.start();
+
+    std::atomic<bool> serving{true};
+    std::size_t reads = 0;
+    std::thread reader([&] {
+        while (serving.load()) {
+            for (const MachineSnapshot &m : server.snapshot().machines) {
+                EXPECT_EQ(m.residualSamples, m.samples) << m.id;
+                if (!m.quarantined) {
+                    EXPECT_EQ(m.watts, m.modelW) << m.id;
+                }
+            }
+            ++reads;
+        }
+    });
+    std::thread toggler([&] {
+        while (serving.load()) {
+            entries[0]->engageQuarantine(nullptr);
+            entries[0]->liftQuarantine();
+        }
+    });
+    std::thread adder([&] {
+        for (int k = 0; k < 20; ++k)
+            server.addMachine("late" + std::to_string(k),
+                              makeTestModel(6));
+    });
+    const std::size_t total = 6000;
+    for (std::size_t i = 0; i < total; ++i) {
+        server.submitTo(*entries[i % entries.size()],
+                        catalogRow(i % 100, 50.0),
+                        30.0 + static_cast<double>(i % 7));
+    }
+    adder.join();
+    server.waitIdle();
+    serving.store(false);
+    reader.join();
+    toggler.join();
+    server.stop();
+    setGlobalThreadCount(1);
+
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(server.processed(), total);
+    EXPECT_EQ(server.snapshot().machines.size(), entries.size() + 20);
+}
+
 TEST(FleetServer, HotSwapUnderActiveProducerLosesNothing)
 {
     setGlobalThreadCount(2);
