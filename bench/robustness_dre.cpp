@@ -259,6 +259,7 @@ main()
         json += "  \"fast_mode\": " +
                 std::string(bench::fastMode() ? "true" : "false") +
                 ",\n";
+        json += bench::hostJsonFields();
         json += "  \"sweeps\": [\n";
         for (size_t i = 0; i < rows.size(); ++i) {
             json += sweepRowJson(rows[i]);

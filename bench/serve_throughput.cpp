@@ -4,19 +4,21 @@
  * autopilot and always-on stage tracing each cost per sample.
  *
  * Measures the fleet server (src/serve) on a 5-machine Core2 fleet
- * with a deployed linear model, in three paired off/on phases:
+ * with a deployed linear model, in three paired off/on phases. Each
+ * preloads the queues with recorded catalog rows and times only the
+ * drain loop, so no producer races the drainer and the difference is
+ * the cost under test, not queue traffic or scheduling:
  *
- *  - monitor overhead: a single producer submits recorded catalog
- *    rows with metered reference readings on every sample as fast as
- *    possible, with and without a FleetMonitor attached;
- *  - autopilot overhead: the monitored run is repeated with an armed
- *    AutopilotController (reference windows enabled on every machine,
- *    drift listener installed, ticked periodically from the producer)
- *    against a monitor-only baseline;
- *  - stage-tracing overhead: the queues are preloaded and only the
- *    drain loop is timed, with sample stage tracing (ingest stamps +
- *    chaos.serve.stage.* histograms) toggled off and on, gating the
- *    tracing cost on the multi-million-samples/sec path it rides.
+ *  - monitor overhead: metered reference readings on every sample,
+ *    drained on one thread with and without a FleetMonitor attached;
+ *  - autopilot overhead: the monitored drain is repeated with an
+ *    armed AutopilotController (reference windows enabled on every
+ *    machine, drift listener installed, ticked after every drain
+ *    pass) against a monitor-only baseline;
+ *  - stage-tracing overhead: the batched drain on the thread pool,
+ *    with sample stage tracing (ingest stamps + chaos.serve.stage.*
+ *    histograms) toggled off and on, gating the tracing cost on the
+ *    multi-million-samples/sec path it rides.
  *
  * Throughput, latency and per-layer cost of the serving path at
  * datacenter fleet sizes are perfbench's job (perfbench/README.md).
@@ -45,6 +47,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,38 +69,53 @@ namespace {
 constexpr size_t kFleetSize = 5;
 
 /**
- * Preload the queues with @p total samples, then time nothing but
- * the drain loop: the batched evaluation path in isolation (compiled
- * plans, reused scratch, no producer on the other side of the
- * queues). The queues are sized to hold the whole workload, so a
- * single drop means the harness is broken. @return Samples/sec.
+ * A 5-machine fleet whose queues hold @p total samples: the preload
+ * must fit, or drop-oldest would silently shrink the measured
+ * workload.
  */
-double
-drainBlast(const MachinePowerModel &model,
-           const std::vector<std::vector<double>> &rows,
-           size_t threads, size_t total, uint64_t &dropped)
+std::unique_ptr<serve::FleetServer>
+makeFleet(const MachinePowerModel &model, size_t total)
 {
-    setGlobalThreadCount(threads);
     serve::FleetServerConfig config;
-    // Hold the entire preload: no shard may overflow, or drop-oldest
-    // would silently shrink the measured workload.
     config.queueCapacity = total;
-    serve::FleetServer server(config);
+    auto server = std::make_unique<serve::FleetServer>(config);
+    for (size_t m = 0; m < kFleetSize; ++m)
+        server->addMachine("machine" + std::to_string(m), model);
+    return server;
+}
+
+/**
+ * Queue @p total samples round-robin over the fleet, metered when
+ * @p meteredW is non-empty, then time nothing but the drain loop on
+ * this thread, calling @p afterPass after every pass: the serving
+ * path in isolation, with no producer on the other side of the
+ * queues and so no queue traffic or scheduling in the number. Adds
+ * the server's drops to @p dropped (the harness is broken if any).
+ * @return Samples/sec.
+ */
+template <typename AfterPass>
+double
+timePreloadedDrain(serve::FleetServer &server,
+                   const std::vector<std::vector<double>> &rows,
+                   const std::vector<double> &meteredW, size_t total,
+                   uint64_t &dropped, AfterPass &&afterPass)
+{
+    const std::vector<std::string> ids = server.machineIds();
     std::vector<serve::MachineEntry *> entries;
-    for (size_t m = 0; m < kFleetSize; ++m) {
-        entries.push_back(&server.addMachine(
-            "machine" + std::to_string(m), model));
-    }
+    for (const std::string &id : ids)
+        entries.push_back(server.machine(id));
     for (size_t i = 0; i < total; ++i) {
-        server.submitTo(*entries[i % entries.size()],
-                        rows[i % rows.size()]);
+        const size_t r = i % rows.size();
+        server.submitTo(*entries[i % entries.size()], rows[r],
+                        meteredW.empty()
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : meteredW[r]);
     }
 
     const auto start = std::chrono::steady_clock::now();
-    while (server.drainOnce() > 0) {
-    }
+    while (server.drainOnce() > 0)
+        afterPass();
     const auto stop = std::chrono::steady_clock::now();
-    setGlobalThreadCount(1);
 
     dropped += server.dropped();
     const double seconds =
@@ -105,91 +124,75 @@ drainBlast(const MachinePowerModel &model,
 }
 
 /**
- * Blast with metered references on every sample, optionally with a
- * FleetMonitor attached. @return Sustained samples/sec.
+ * The batched evaluation path (compiled plans, reused scratch) on a
+ * preloaded drain with @p threads pool threads. @return Samples/sec.
  */
 double
-monitoredBlast(const MachinePowerModel &model,
+drainBlast(const MachinePowerModel &model,
+           const std::vector<std::vector<double>> &rows,
+           size_t threads, size_t total, uint64_t &dropped)
+{
+    setGlobalThreadCount(threads);
+    const auto server = makeFleet(model, total);
+    const double sps =
+        timePreloadedDrain(*server, rows, {}, total, dropped, [] {});
+    setGlobalThreadCount(1);
+    return sps;
+}
+
+/**
+ * Preloaded single-threaded drain with metered references on every
+ * sample, optionally with a FleetMonitor attached.
+ * @return Samples/sec.
+ */
+double
+monitoredDrain(const MachinePowerModel &model,
                const std::vector<std::vector<double>> &rows,
                const std::vector<double> &meteredW, bool monitorOn,
-               size_t total)
+               size_t total, uint64_t &dropped)
 {
-    serve::FleetServer server;
-    std::vector<serve::MachineEntry *> entries;
-    for (size_t m = 0; m < kFleetSize; ++m) {
-        entries.push_back(&server.addMachine(
-            "machine" + std::to_string(m), model));
-    }
+    const auto server = makeFleet(model, total);
     monitor::QualityMonitorConfig qualityConfig;
     // Arm the detector early so the whole run pays the full
     // per-sample monitoring cost, not just the warmup accumulation.
     qualityConfig.warmupSamples = 100;
     monitor::FleetMonitor fleetMonitor(qualityConfig);
     if (monitorOn)
-        fleetMonitor.attach(server);
-    server.start();
-
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < total; ++i) {
-        const size_t r = i % rows.size();
-        server.submitTo(*entries[i % entries.size()], rows[r],
-                        meteredW[r]);
-    }
-    server.waitIdle();
-    const auto stop = std::chrono::steady_clock::now();
-    server.stop();
-
-    const double seconds =
-        std::chrono::duration<double>(stop - start).count();
-    return static_cast<double>(server.processed()) / seconds;
+        fleetMonitor.attach(*server);
+    return timePreloadedDrain(*server, rows, meteredW, total, dropped,
+                              [] {});
 }
 
 /**
- * Monitored blast with an armed (but idle) autopilot: every machine
- * has a live reference window, the drift listener is installed, and
- * the controller ticks every ~1000 submissions the way a live
- * deployment would tick once a second. Nothing drifts, so this
- * measures the pure drain-path cost of being remediable.
- * @return Sustained samples/sec.
+ * Monitored preloaded drain with an armed (but idle) autopilot:
+ * every machine has a live reference window, the drift listener is
+ * installed, and the controller ticks after every drain pass (~1000
+ * samples) the way a live deployment would tick once a second.
+ * Nothing drifts, so this measures the pure drain-path cost of being
+ * remediable. @return Samples/sec.
  */
 double
-autopilotBlast(const MachinePowerModel &model,
+autopilotDrain(const MachinePowerModel &model,
                const std::vector<std::vector<double>> &rows,
                const std::vector<double> &meteredW, bool autopilotOn,
-               size_t total)
+               size_t total, uint64_t &dropped)
 {
-    serve::FleetServer server;
-    std::vector<serve::MachineEntry *> entries;
-    for (size_t m = 0; m < kFleetSize; ++m) {
-        entries.push_back(&server.addMachine(
-            "machine" + std::to_string(m), model));
-    }
+    const auto server = makeFleet(model, total);
     monitor::QualityMonitorConfig qualityConfig;
     qualityConfig.warmupSamples = 100;
     monitor::FleetMonitor fleetMonitor(qualityConfig);
-    fleetMonitor.attach(server);
-    autopilot::AutopilotController pilot(server, fleetMonitor);
+    fleetMonitor.attach(*server);
+    autopilot::AutopilotController pilot(*server, fleetMonitor);
     if (autopilotOn)
         pilot.start();
-    server.start();
-
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < total; ++i) {
-        const size_t r = i % rows.size();
-        server.submitTo(*entries[i % entries.size()], rows[r],
-                        meteredW[r]);
-        if (autopilotOn && i % 1000 == 999)
-            pilot.tick();
-    }
-    server.waitIdle();
-    const auto stop = std::chrono::steady_clock::now();
-    server.stop();
+    const double sps = timePreloadedDrain(
+        *server, rows, meteredW, total, dropped, [&] {
+            if (autopilotOn)
+                pilot.tick();
+        });
     if (autopilotOn)
         pilot.stop();
-
-    const double seconds =
-        std::chrono::duration<double>(stop - start).count();
-    return static_cast<double>(server.processed()) / seconds;
+    return sps;
 }
 
 /** Result of one paired-overhead measurement (see file comment). */
@@ -337,22 +340,23 @@ main()
     // cost.
     const double overheadNsBudget = 20.0;
 
-    // --- Monitor overhead: metered blast with/without FleetMonitor. ---
-    // 4 threads (the headline config) and runs long enough that each
-    // timed side spans many OS timeslices: on a small host the
-    // scheduler's ~3 ms slices are the dominant noise term, and a
-    // ~100 ms run gives the median pair little to average over.
-    setGlobalThreadCount(4);
-    const size_t monitorTotal = fast ? 50'000 : 600'000;
+    // --- Monitor overhead: metered drain with/without FleetMonitor. ---
+    // Both gates time a preloaded drain on one thread, as the
+    // stage-tracing gate does: a producer racing the drainer would put
+    // queue-shard traffic and scheduling into the difference, not
+    // only the monitor's cost. Runs long enough that each timed side
+    // spans many OS timeslices: on a small host the scheduler's ~3 ms
+    // slices are the dominant noise term.
+    const size_t monitorTotal = fast ? 300'000 : 600'000;
     const int monitorReps = 7;
+    uint64_t preloadDropped = 0;
     const OverheadResult monitorOverhead = measureOverhead(
         "monitor",
         [&](bool on) {
-            return monitoredBlast(model, rows, meteredPool, on,
-                                  monitorTotal);
+            return monitoredDrain(model, rows, meteredPool, on,
+                                  monitorTotal, preloadDropped);
         },
         monitorReps);
-    setGlobalThreadCount(1);
     printOverhead("monitor overhead, metered refs", monitorOverhead,
                   monitorReps, overheadNsBudget);
 
@@ -361,17 +365,15 @@ main()
     // compares two already-monitored configurations, so the signal
     // is a few ns/sample and a 30 ms fast-mode run would be pure
     // scheduler noise.
-    setGlobalThreadCount(4);
-    const size_t autopilotTotal = fast ? 150'000 : 600'000;
+    const size_t autopilotTotal = fast ? 300'000 : 600'000;
     const int autopilotReps = 7;
     const OverheadResult autopilotOverhead = measureOverhead(
         "autopilot",
         [&](bool on) {
-            return autopilotBlast(model, rows, meteredPool, on,
-                                  autopilotTotal);
+            return autopilotDrain(model, rows, meteredPool, on,
+                                  autopilotTotal, preloadDropped);
         },
         autopilotReps);
-    setGlobalThreadCount(1);
     printOverhead("autopilot overhead, armed idle", autopilotOverhead,
                   autopilotReps, overheadNsBudget);
 
@@ -410,10 +412,11 @@ main()
                                overheadNsBudget);
     ok &= overheadWithinBudget("stage tracing", stageOverhead,
                                overheadNsBudget);
-    if (stageDropped != 0) {
-        std::printf("FAIL: batched drain dropped %llu samples "
+    if (stageDropped + preloadDropped != 0) {
+        std::printf("FAIL: preloaded drains dropped %llu samples "
                     "(preload overflowed a shard)\n",
-                    static_cast<unsigned long long>(stageDropped));
+                    static_cast<unsigned long long>(stageDropped +
+                                                    preloadDropped));
         ok = false;
     }
     // The monitor and autopilot phases ran with tracing on (the

@@ -118,9 +118,36 @@ OnlinePowerEstimator::rememberTrusted(double watts)
         recentHead = 0;
 }
 
+const std::vector<std::size_t> &
+ProjectedPositions::resolve(const std::vector<std::size_t> &indices,
+                            const CounterProjection *projection)
+{
+    if (projection == nullptr) {
+        complete_ = true;
+        return indices;
+    }
+    if (valid_ && projection == projection_)
+        return pos_;
+    const std::vector<std::size_t> &have = projection->indices();
+    pos_.resize(indices.size());
+    complete_ = true;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        const auto it =
+            std::lower_bound(have.begin(), have.end(), indices[i]);
+        const bool found = it != have.end() && *it == indices[i];
+        pos_[i] = found ? static_cast<std::size_t>(it - have.begin())
+                        : kMissing;
+        complete_ = complete_ && found;
+    }
+    projection_ = projection;
+    valid_ = true;
+    return pos_;
+}
+
 bool
-OnlinePowerEstimator::prepareSample(const double *row,
-                                    std::size_t rowSize,
+OnlinePowerEstimator::prepareSample(const double *values,
+                                    std::size_t size,
+                                    const std::vector<std::size_t> &pos,
                                     double *projected,
                                     LocalTallies &local)
 {
@@ -134,9 +161,8 @@ OnlinePowerEstimator::prepareSample(const double *row,
     bool anyStale = false;
     std::uint64_t imputedThisSample = 0;
     for (size_t i = 0; i < indices.size(); ++i) {
-        const size_t idx = indices[i];
-        const double raw = idx < rowSize
-                               ? row[idx]
+        const double raw = pos[i] < size
+                               ? values[pos[i]]
                                : std::numeric_limits<double>::quiet_NaN();
         FeatureState &fs = featureStates[i];
         const bool valid = std::isfinite(raw) && raw >= -1e-9 &&
@@ -276,8 +302,9 @@ OnlinePowerEstimator::estimate(const std::vector<double> &catalogRow)
 {
     LocalTallies local;
     rowScratch.resize(model.catalogIndices().size());
-    const bool lost = prepareSample(catalogRow.data(), catalogRow.size(),
-                                    rowScratch.data(), local);
+    const bool lost =
+        prepareSample(catalogRow.data(), catalogRow.size(),
+                      model.catalogIndices(), rowScratch.data(), local);
     // The serial path deliberately stays on the scalar virtual
     // predict(): it is the bit-identity oracle the compiled batch
     // plans are verified against.
@@ -304,7 +331,10 @@ OnlinePowerEstimator::estimateBatch(const SampleView *samples,
     batchRows.resize(n * width);
     batchLost.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        batchLost[i] = prepareSample(samples[i].values, samples[i].size,
+        const SampleView &s = samples[i];
+        const std::vector<std::size_t> &pos =
+            positions.resolve(model.catalogIndices(), s.projection);
+        batchLost[i] = prepareSample(s.values, s.size, pos,
                                      batchRows.data() + i * width,
                                      local)
                            ? 1
@@ -339,6 +369,7 @@ OnlinePowerEstimator::swapModel(MachinePowerModel newModel)
     const std::vector<FeatureState> oldStates = featureStates;
 
     model = std::move(newModel);
+    positions.reset();
     quality = ModelQuality::Unknown;
     const auto &indices = model.catalogIndices();
     featureStates.assign(indices.size(), FeatureState{});

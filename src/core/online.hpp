@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/cluster_model.hpp"
 #include "sim/machine_spec.hpp"
@@ -31,17 +32,90 @@
 namespace chaos {
 
 /**
+ * The counters a queued sample carries: sorted, duplicate-free
+ * catalog indices. A serving queue slot holds the producer's values
+ * at these indices, in this order, instead of the whole catalog row.
+ * Immutable once built; serve::EstimatorRegistry interns one per
+ * distinct set, so machines that read the same counters share it.
+ */
+class CounterProjection
+{
+  public:
+    /** @param indices Sorted, duplicate-free catalog indices. */
+    explicit CounterProjection(std::vector<std::size_t> indices)
+        : indices_(std::move(indices))
+    {}
+
+    /** The projected catalog indices, ascending. */
+    const std::vector<std::size_t> &indices() const { return indices_; }
+
+    /** Number of projected counters (values per queued sample). */
+    std::size_t size() const { return indices_.size(); }
+
+  private:
+    std::vector<std::size_t> indices_;
+};
+
+/**
+ * Where one model's catalog indices sit among a sample's values,
+ * cached per projection: resolve() recomputes only when handed a
+ * different projection than the call before, so a drain resolves
+ * once per (model, projection) pair, not once per sample. The owner
+ * calls reset() when its model changes.
+ */
+class ProjectedPositions
+{
+  public:
+    /** Position of an index the projection lacks. */
+    static constexpr std::size_t kMissing =
+        std::numeric_limits<std::size_t>::max();
+
+    /**
+     * Positions of @p indices among the values of a sample gathered
+     * through @p projection, kMissing where it lacks one. A null
+     * projection means the values are a full catalog row, whose
+     * positions are the indices themselves.
+     */
+    const std::vector<std::size_t> &
+    resolve(const std::vector<std::size_t> &indices,
+            const CounterProjection *projection);
+
+    /** True when the last resolve() found every index. */
+    bool complete() const { return complete_; }
+
+    /** Forget the cached pair (the owner's model changed). */
+    void reset() { valid_ = false; }
+
+  private:
+    const CounterProjection *projection_ = nullptr;
+    bool valid_ = false;
+    bool complete_ = true;
+    std::vector<std::size_t> pos_;
+};
+
+/**
  * Borrowed view of one machine-second inside a drain batch: the
- * catalog-ordered counters are read in place (typically straight from
- * the queue slot's vector), so batching adds no per-sample copy. The
+ * counters are read in place (typically straight from the queue
+ * slot's buffer), so batching adds no per-sample copy. The
  * pointed-to storage must outlive the estimateBatch call.
  */
 struct SampleView
 {
-    const double *values = nullptr; ///< Catalog-ordered counters.
-    std::size_t size = 0;           ///< Counters present in the row.
+    /**
+     * The counters at @c projection's indices, in its order; a full
+     * catalog-ordered row when @c projection is null.
+     */
+    const double *values = nullptr;
+    std::size_t size = 0; ///< Values present.
     /** Metered reference power; NaN when the sample carries none. */
     double meteredW = std::numeric_limits<double>::quiet_NaN();
+    /** What @c values were gathered through; null for a full row. */
+    const CounterProjection *projection = nullptr;
+    /**
+     * Width of the row the producer sent. Projected indices at or
+     * past it were absent from that row; their values are NaN.
+     */
+    std::size_t rowSize = 0;
 };
 
 /** Telemetry health of one estimated machine, worst to best. */
@@ -181,6 +255,11 @@ class OnlinePowerEstimator
      * and the registry metrics are flushed once per batch instead of
      * once per feature.
      *
+     * A projected sample (SampleView::projection set) is equivalent
+     * to the full row it was gathered from whenever the projection
+     * holds every counter the model reads; a counter it lacks reads
+     * as a missing input.
+     *
      * @param samples  n sample views (storage must stay valid).
      * @param n        Batch size.
      * @param wattsOut n estimates, in arrival order.
@@ -262,7 +341,8 @@ class OnlinePowerEstimator
     };
 
     /**
-     * Front half of one sample: validate/impute the inputs, advance
+     * Front half of one sample: validate/impute the inputs (input i
+     * is values[pos[i]], or missing when pos[i] >= size), advance
      * the health state machine, and write the projected feature row
      * (model input order) to @p projected. Serial, arrival-order
      * state; must be called exactly once per sample, in order.
@@ -270,7 +350,8 @@ class OnlinePowerEstimator
      * @return True when the machine is Lost for this sample (the
      *         model output must be discarded and substituted).
      */
-    bool prepareSample(const double *row, std::size_t rowSize,
+    bool prepareSample(const double *values, std::size_t size,
+                       const std::vector<std::size_t> &pos,
                        double *projected, LocalTallies &local);
 
     /**
@@ -296,6 +377,8 @@ class OnlinePowerEstimator
     OnlineEstimatorConfig config;
     std::vector<FeatureState> featureStates;
     std::vector<double> plausibleBounds;
+    /** The model's inputs among estimateBatch's projected values. */
+    ProjectedPositions positions;
 
     /** Projected-row scratch for the scalar estimate() path (reused
      *  across calls; estimate() used to build this vector per sample,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "util/result.hpp"
@@ -58,8 +59,36 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
     ++sentCount;
     sendTimes.push_back(std::chrono::steady_clock::now());
 
-    // Opportunistically drain acks so the deque stays short.
+    // Read the acks that arrived meanwhile once half a window is in
+    // flight, at most once per half window of sends: credits then
+    // come back before the window fills, for one syscall per
+    // window / 2 samples.
+    const std::uint64_t half = std::max<std::uint64_t>(cfg.window / 2, 1);
+    if (inFlight() >= half && sentCount - lastAckRead >= half) {
+        lastAckRead = sentCount;
+        readSocket(MSG_DONTWAIT);
+    }
     pump(/*blocking=*/false);
+}
+
+void
+IngestClient::readSocket(int flags)
+{
+    const ssize_t n =
+        ::recv(sock.fd(), reader.prepare(kReadChunk), kReadChunk, flags);
+    if (n < 0) {
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
+            return;
+        raise(std::string("net: read: ") + std::strerror(errno));
+    }
+    if (n == 0) {
+        sock.reset();
+        raise("net: connection closed by server" +
+              (nackCounts[static_cast<int>(NackReason::BadSample)] > 0
+                   ? std::string(" (after bad-sample nack)")
+                   : std::string()));
+    }
+    reader.commit(static_cast<std::size_t>(n));
 }
 
 std::size_t
@@ -88,23 +117,7 @@ IngestClient::pump(bool blocking)
             raise(std::string("net: poll: ") + std::strerror(errno));
         if (ready == 0)
             return 0; // Timed out with nothing consumed.
-
-        const ssize_t n =
-            ::read(sock.fd(), reader.prepare(kReadChunk), kReadChunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            raise(std::string("net: read: ") + std::strerror(errno));
-        }
-        if (n == 0) {
-            sock.reset();
-            raise("net: connection closed by server" +
-                  (nackCounts[static_cast<int>(
-                       NackReason::BadSample)] > 0
-                       ? std::string(" (after bad-sample nack)")
-                       : std::string()));
-        }
-        reader.commit(static_cast<std::size_t>(n));
+        readSocket(0);
     }
     return consumed;
 }

@@ -7,8 +7,12 @@
  *
  * Flow control: the client keeps at most `window` samples in flight
  * (sent but not yet covered by a Credit frame's cumulative totals).
- * When the window is full, send() pumps acks — blocking on the socket
- * if necessary — before writing the next sample, so a slow or
+ * Once half the window is in flight, send() reads the acks that
+ * have arrived (one non-blocking read per half window of sends), so
+ * credits return before the window fills and the credit round trip
+ * measures the server, not the client's reading delay. When the
+ * window is full, send() pumps acks — blocking on the socket if
+ * necessary — before writing the next sample, so a slow or
  * backpressuring server throttles the producer instead of growing an
  * unbounded buffer. Rejected samples (Nack / rejected counts) also
  * return window credit: accounting never wedges on an overloaded
@@ -121,6 +125,12 @@ class IngestClient
     void writeAll(const std::uint8_t *data, std::size_t size);
     /** Write out any coalesced frames still sitting in outBuf. */
     void flushSendBuffer();
+    /**
+     * One recv() with @p flags into the frame reader; nothing when
+     * interrupted or, under MSG_DONTWAIT, when no data is waiting.
+     * Raises when the server closed or on error.
+     */
+    void readSocket(int flags);
 
     IngestClientConfig cfg;
     OwnedFd sock;
@@ -129,6 +139,7 @@ class IngestClient
     std::vector<std::uint8_t> outBuf; ///< Coalesced unsent frames.
 
     std::uint64_t sentCount = 0;
+    std::uint64_t lastAckRead = 0; ///< sentCount at send()'s last read.
     std::uint64_t acceptedTotal = 0;
     std::uint64_t rejectedTotal = 0;
     std::uint64_t nackCounts[4] = {0, 0, 0, 0};

@@ -243,9 +243,9 @@ ChaosIngestServer::loop()
             }
         }
 
-        // Idle credit flush: ack stragglers below the batch threshold
-        // so trickle-rate clients see their window replenished within
-        // one poll interval.
+        // End-of-round credit flush: ack what each connection
+        // disposed of this round below the batch threshold, so every
+        // client sees its window replenished within one poll round.
         for (std::size_t i = live.size(); i-- > 0;) {
             Connection &conn = *live[i];
             if (conn.sinceCredit > 0)
@@ -417,7 +417,10 @@ ChaosIngestServer::handleSample(Connection &conn,
         sample.hasMetered
             ? sample.meteredW
             : std::numeric_limits<double>::quiet_NaN();
-    if (fleet.offer(*entry, sample.row.data(), sample.row.size(),
+    // The row is still in the reader's buffer: the queue gathers the
+    // machine's projected counters straight from it.
+    if (fleet.offer(*entry,
+                    serve::CounterRowLE{sample.rowBytes, sample.rowLen},
                     meteredW, ingestNs)) {
         ++conn.acceptedTotal;
         ++conn.sinceCredit;

@@ -63,11 +63,14 @@ struct IngestServerConfig
     /** Port to listen on; 0 picks an ephemeral port (see port()). */
     std::uint16_t port = 0;
     /**
-     * Send a Credit frame after this many samples were disposed of
-     * (accepted or rejected) on a connection; 0 means 128. Smaller
-     * batches tighten client-observed ack latency, larger ones cut
-     * ack bandwidth. An idle poll cycle flushes stragglers either
-     * way, so trickle-rate clients still see acks promptly.
+     * Send a Credit frame as soon as this many samples were disposed
+     * of (accepted or rejected) on a connection; 0 means 128. Every
+     * poll round also ends by crediting what each connection
+     * disposed of in it, so a client waits at most one round for its
+     * acks, and a connection that sends one frame per round gets one
+     * Credit frame per sample. Crediting only in idle rounds would
+     * save under 0.2 µs per sample of poll CPU but delay a client's
+     * last acks by up to pollTimeoutMs.
      */
     std::size_t creditBatch = 0;
     /** Refuse connections beyond this many concurrently open. */

@@ -9,6 +9,7 @@
 #endif
 
 #include "obs/json.hpp"
+#include "util/endian.hpp"
 #include "util/result.hpp"
 
 namespace chaos::net {
@@ -17,39 +18,6 @@ namespace {
 
 constexpr std::uint8_t kMagic0 = 'C';
 constexpr std::uint8_t kMagic1 = 'W';
-
-// ---- Little-endian load/store --------------------------------------
-
-#if defined(__BYTE_ORDER__) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-constexpr bool kLittleEndianHost = true;
-#else
-constexpr bool kLittleEndianHost = false;
-#endif
-
-/** Store @p v at @p p as little-endian bytes (doubles as their bits). */
-template <typename T>
-void
-storeLE(std::uint8_t *p, T v)
-{
-    std::memcpy(p, &v, sizeof(T));
-    if constexpr (!kLittleEndianHost)
-        std::reverse(p, p + sizeof(T));
-}
-
-/** Load a little-endian T from @p p (inverse of storeLE). */
-template <typename T>
-T
-loadLE(const std::uint8_t *p)
-{
-    std::uint8_t bytes[sizeof(T)] = {};
-    std::memcpy(bytes, p, sizeof(T));
-    if constexpr (!kLittleEndianHost)
-        std::reverse(bytes, bytes + sizeof(T));
-    T v{};
-    std::memcpy(&v, bytes, sizeof(T));
-    return v;
-}
 
 /**
  * A counter row is @p n little-endian doubles back to back, which on
@@ -477,6 +445,14 @@ encodeSnapshot(const SnapshotFrame &frame,
     return sealFrame(out, w, payloadLen);
 }
 
+std::vector<double>
+SampleFrame::decodedRow() const
+{
+    std::vector<double> out(rowLen);
+    loadRow(out.data(), rowBytes, rowLen);
+    return out;
+}
+
 DecodeResult
 decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
 {
@@ -533,10 +509,8 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
         if (pr.bad || rowLen > kMaxRowLen ||
             pr.left != static_cast<std::size_t>(rowLen) * 8)
             return decodeError("sample: bad row length");
-        // Reusing the row's capacity keeps steady-state decoding
-        // allocation-free.
-        s.row.resize(rowLen);
-        loadRow(s.row.data(), pr.p, rowLen);
+        s.rowBytes = pr.p;
+        s.rowLen = rowLen;
         pr.p += pr.left;
         pr.left = 0;
         break;

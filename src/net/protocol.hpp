@@ -106,7 +106,19 @@ struct SampleFrame
     std::string machineId;   ///< Fleet registry key.
     bool hasMetered = false; ///< True when meteredW is a real reading.
     double meteredW = std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> row; ///< Catalog-ordered counter values.
+    /** Catalog-ordered counter values to encode (encodeSample). */
+    std::vector<double> row;
+    /**
+     * Set by decoding instead of @c row: the row's @c rowLen
+     * little-endian doubles in place inside the decoded buffer (for a
+     * FrameReader, valid until its next call), so a reader that needs
+     * a few counters copies only those.
+     */
+    const std::uint8_t *rowBytes = nullptr;
+    std::size_t rowLen = 0;
+
+    /** The decoded row's values (a copy of rowBytes). */
+    std::vector<double> decodedRow() const;
 };
 
 /** Window replenishment + cumulative ack totals. */
@@ -245,8 +257,9 @@ struct DecodeResult
  * valid frame, Ok (with @c consumed) on a whole one, and Error on a
  * stream that can never become valid (bad magic, unknown version or
  * type, oversized or undersized length, checksum mismatch, malformed
- * payload). @p out is only meaningful on Ok; its row buffer is reused
- * across calls, so steady-state decoding does not allocate.
+ * payload). @p out is only meaningful on Ok; a Sample's row is left in
+ * @p data (SampleFrame::rowBytes), so decoding does not allocate or
+ * copy it.
  */
 DecodeResult decodeFrame(const std::uint8_t *data, std::size_t size,
                          Frame &out);

@@ -86,10 +86,21 @@ Histogram::observeBulk(const double *values, std::size_t n,
     std::uint64_t local[kMaxLocalBuckets] = {};
     double lo = values[0] + offset;
     double hi = values[0] + offset;
+    const double *bounds = bounds_.data();
+    const std::size_t numBounds = bounds_.size();
+    std::size_t b = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double v = values[i] + offset;
-        auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-        ++local[static_cast<std::size_t>(it - bounds_.begin())];
+        // Bulk values cluster (one drain pass's waits): try the last
+        // value's bucket before searching. Same bucket as
+        // lower_bound: bounds[b - 1] < v <= bounds[b].
+        if (!((b == 0 || bounds[b - 1] < v) &&
+              (b == numBounds || !(bounds[b] < v)))) {
+            b = static_cast<std::size_t>(
+                std::lower_bound(bounds, bounds + numBounds, v) -
+                bounds);
+        }
+        ++local[b];
         lo = std::min(lo, v);
         hi = std::max(hi, v);
     }

@@ -11,14 +11,71 @@
 
 namespace chaos::serve {
 
+const CounterProjection *
+ProjectionTable::intern(std::vector<std::size_t> indices)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return &*table.emplace(std::move(indices)).first;
+}
+
 MachineEntry::MachineEntry(std::string machineId, std::uint32_t index,
                            std::uint32_t shard, MachineStateSlot &state,
+                           ProjectionTable &projections,
                            MachinePowerModel model,
                            OnlineEstimatorConfig config)
     : id_(std::move(machineId)), index_(index), shard_(shard),
-      state_(state), estimator_(std::move(model), std::move(config))
+      state_(state), projections_(projections),
+      estimator_(std::move(model), std::move(config))
 {
+    refreshProjectionLocked();
     publishLocked();
+}
+
+void
+MachineEntry::refreshProjectionLocked()
+{
+    std::vector<std::size_t> want =
+        estimator_.deployedModel().catalogIndices();
+    const auto add = [&](const MachinePowerModel &reader) {
+        const std::vector<std::size_t> &idx = reader.catalogIndices();
+        want.insert(want.end(), idx.begin(), idx.end());
+    };
+    if (quarantined_ && substituteModel_ != nullptr)
+        add(*substituteModel_);
+    if (shadow_ != nullptr)
+        add(shadow_->candidate);
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    const CounterProjection *current =
+        projection_.load(std::memory_order_relaxed);
+    if (current != nullptr && current->indices() == want)
+        return;
+    projection_.store(projections_.intern(std::move(want)),
+                      std::memory_order_release);
+}
+
+bool
+MachineEntry::coversLocked(const CounterProjection *p) const
+{
+    const CounterProjection *current =
+        projection_.load(std::memory_order_relaxed);
+    // Samples differ from the current projection only while the
+    // queue turns over after a change of readers.
+    return p == current ||
+           (p != nullptr &&
+            std::includes(p->indices().begin(), p->indices().end(),
+                          current->indices().begin(),
+                          current->indices().end()));
+}
+
+std::size_t
+MachineEntry::countMissesLocked(const SampleView *samples,
+                                std::size_t n) const
+{
+    std::size_t misses = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        misses += coversLocked(samples[i].projection) ? 0 : 1;
+    return misses;
 }
 
 void
@@ -43,6 +100,8 @@ MachineEntry::engageQuarantine(
     std::lock_guard<std::mutex> lock(mu_);
     quarantined_ = true;
     substituteModel_ = std::move(substitute);
+    substitutePos_.reset();
+    refreshProjectionLocked();
     // Until the next sample arrives, serve the last-known-good level:
     // the running mean estimate when the machine has history, else
     // NaN so servedWattsLocked falls back to the raw estimate.
@@ -63,6 +122,7 @@ MachineEntry::liftQuarantine()
     quarantined_ = false;
     substituteModel_.reset();
     substituteW_ = std::numeric_limits<double>::quiet_NaN();
+    refreshProjectionLocked();
     publishLocked();
 }
 
@@ -78,6 +138,8 @@ MachineEntry::beginShadow(MachinePowerModel candidate)
 {
     std::lock_guard<std::mutex> lock(mu_);
     shadow_ = std::make_unique<ShadowState>(std::move(candidate));
+    shadowPos_.reset();
+    refreshProjectionLocked();
 }
 
 void
@@ -85,6 +147,7 @@ MachineEntry::endShadow()
 {
     std::lock_guard<std::mutex> lock(mu_);
     shadow_.reset();
+    refreshProjectionLocked();
 }
 
 MachineEntry::ShadowReport
@@ -157,18 +220,38 @@ MachineEntry::referenceData()
     return out;
 }
 
+bool
+MachineEntry::predictAuxLocked(const MachinePowerModel &model,
+                               ProjectedPositions &positions,
+                               const SampleView &sample, double &watts)
+{
+    const std::vector<std::size_t> &pos =
+        positions.resolve(model.catalogIndices(), sample.projection);
+    if (!positions.complete())
+        return false;
+    auxRow_.resize(pos.size());
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+        auxRow_[j] = pos[j] < sample.size
+                         ? sample.values[pos[j]]
+                         : std::numeric_limits<double>::quiet_NaN();
+    }
+    watts = model.predictFromFeatureRow(auxRow_);
+    return true;
+}
+
 void
-MachineEntry::recordSampleLocked(
-    const std::vector<double> &catalogRow, double estimateW,
-    double meteredW)
+MachineEntry::recordSampleLocked(const SampleView &sample,
+                                 double estimateW)
 {
     if (quarantined_ && substituteModel_ != nullptr)
-        substituteW_ = substituteModel_->predictFromCatalogRow(
-            catalogRow);
+        predictAuxLocked(*substituteModel_, substitutePos_, sample,
+                         substituteW_);
+    const double meteredW = sample.meteredW;
     const bool metered = std::isfinite(meteredW);
-    if (shadow_ != nullptr && metered) {
-        const double candW =
-            shadow_->candidate.predictFromCatalogRow(catalogRow);
+    double candW = 0.0;
+    if (shadow_ != nullptr && metered &&
+        predictAuxLocked(shadow_->candidate, shadowPos_, sample,
+                         candW)) {
         const double cd = meteredW - candW;
         const double id = meteredW - estimateW;
         shadow_->candidateSumSq += cd * cd;
@@ -176,16 +259,21 @@ MachineEntry::recordSampleLocked(
         ++shadow_->refSamples;
     }
     if (ref_.cap > 0 && metered) {
-        // Project the catalog row through the deployed model's
-        // feature indices at capture time: reference rows stay tiny
-        // and already feature-ordered for retraining.
+        // Project through the deployed model's feature indices at
+        // capture time: reference rows stay tiny and already
+        // feature-ordered for retraining. A counter past the
+        // producer's row is recorded as 0.
         const std::vector<size_t> &idx =
             estimator_.deployedModel().catalogIndices();
+        const std::vector<std::size_t> &pos =
+            refPos_.resolve(idx, sample.projection);
+        if (!refPos_.complete())
+            return;
         std::vector<double> &slot = ref_.rows[ref_.head];
         slot.resize(idx.size());
         for (std::size_t j = 0; j < idx.size(); ++j)
-            slot[j] =
-                idx[j] < catalogRow.size() ? catalogRow[idx[j]] : 0.0;
+            slot[j] = idx[j] < sample.rowSize ? sample.values[pos[j]]
+                                              : 0.0;
         ref_.watts[ref_.head] = meteredW;
         if (++ref_.head == ref_.cap)
             ref_.head = 0;
@@ -208,6 +296,8 @@ MachineEntry::onModelSwappedLocked()
     shadow_.reset();
     ref_.head = 0;
     ref_.fill = 0;
+    refPos_.reset();
+    refreshProjectionLocked();
 }
 
 EstimatorRegistry::EstimatorRegistry(std::size_t numShards)
@@ -240,7 +330,8 @@ EstimatorRegistry::add(const std::string &machineId,
     entries.push_back(std::make_unique<MachineEntry>(
         machineId, index,
         static_cast<std::uint32_t>(shardOf(machineId)),
-        slotLocked(index), std::move(model), std::move(config)));
+        slotLocked(index), projections, std::move(model),
+        std::move(config)));
     idTable.push_back(machineId);
     byIdSorted = byIdSorted &&
                  (byId.empty() || idTable[byId.back()] < machineId);

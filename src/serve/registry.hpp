@@ -25,6 +25,20 @@
  * Model hot-swap takes only that entry mutex, so swapping one
  * machine's model serializes with that machine's predictions but
  * never stalls ingestion or any other machine.
+ *
+ * Each entry also publishes its *projection*: the sorted union of the
+ * catalog indices its deployed model, quarantine substitute and
+ * shadow candidate read. Producers load it with one acquire and
+ * gather only those counters into the queue slot. Projections are
+ * immutable and interned registry-wide (a fleet of one class shares
+ * one) and live as long as the registry, so a queued pointer to one
+ * never dangles. A change of readers (hot-swap, quarantine, shadow)
+ * publishes a new projection, under the entry mutex with the change
+ * itself, only when the index set changes. A sample gathered before
+ * a widening and drained after it lacks the new counters: a
+ * *projection miss*. The deployed model reads such a counter as a
+ * missing input (imputation), and the substitute, the shadow and the
+ * reference window skip the sample.
  */
 #ifndef CHAOS_SERVE_REGISTRY_HPP
 #define CHAOS_SERVE_REGISTRY_HPP
@@ -34,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -123,6 +138,32 @@ class alignas(64) MachineStateSlot
 };
 
 /**
+ * Registry-wide intern table of CounterProjections: one immutable
+ * projection per distinct index set, alive (at a stable address) as
+ * long as the table.
+ */
+class ProjectionTable
+{
+  public:
+    /** The projection of @p indices (sorted, duplicate-free). */
+    const CounterProjection *intern(std::vector<std::size_t> indices);
+
+  private:
+    struct ByIndices
+    {
+        bool
+        operator()(const CounterProjection &a,
+                   const CounterProjection &b) const
+        {
+            return a.indices() < b.indices();
+        }
+    };
+
+    std::mutex mu;
+    std::set<CounterProjection, ByIndices> table;
+};
+
+/**
  * One registered machine: id + mutex-guarded online estimator, plus
  * the serving-state the remediation autopilot drives — a quarantine
  * substitute, a shadow (canary) candidate model, and a bounded
@@ -140,7 +181,8 @@ class MachineEntry
   public:
     MachineEntry(std::string machineId, std::uint32_t index,
                  std::uint32_t shard, MachineStateSlot &state,
-                 MachinePowerModel model, OnlineEstimatorConfig config);
+                 ProjectionTable &projections, MachinePowerModel model,
+                 OnlineEstimatorConfig config);
 
     /** The machine id this entry was registered under. */
     const std::string &id() const { return id_; }
@@ -150,6 +192,16 @@ class MachineEntry
 
     /** The queue shard this machine's samples go to (its id's). */
     std::uint32_t shard() const { return shard_; }
+
+    /**
+     * The counters a sample of this machine must carry (see file
+     * comment): one acquire load, no lock, never null.
+     */
+    const CounterProjection &
+    projection() const
+    {
+        return *projection_.load(std::memory_order_acquire);
+    }
 
     /**
      * Run @p fn with exclusive access to the estimator. All estimator
@@ -281,10 +333,20 @@ class MachineEntry
 
     /**
      * Record one evaluated sample into the active aux state:
-     * substitute prediction, shadow scoring, reference capture.
+     * substitute prediction, shadow scoring, reference capture. Each
+     * reads the sample's values through its own cached positions and
+     * skips a sample whose projection lacks a counter it needs.
      */
-    void recordSampleLocked(const std::vector<double> &catalogRow,
-                            double estimateW, double meteredW);
+    void recordSampleLocked(const SampleView &sample, double estimateW);
+
+    /**
+     * Of @p n samples about to be (or just) evaluated, how many are
+     * projection misses: gathered through a projection that lacks a
+     * counter some current reader needs. One pointer compare per
+     * sample when none is.
+     */
+    std::size_t countMissesLocked(const SampleView *samples,
+                                  std::size_t n) const;
 
     /**
      * The watts this machine contributes to the cluster sum: the
@@ -299,14 +361,34 @@ class MachineEntry
     /**
      * Drop model-specific aux state after a hot-swap: clears the
      * reference window (rows were projected for the old model) and
-     * any shadow (it was competing against the old model). Quarantine
-     * is left alone — the autopilot lifts it explicitly.
+     * any shadow (it was competing against the old model), and
+     * publishes the projection the new readers need. Quarantine is
+     * left alone — the autopilot lifts it explicitly.
      */
     void onModelSwappedLocked();
 
   private:
     /** Copy the snapshot fields into the state slot (mutex held). */
     void publishLocked();
+
+    /**
+     * Publish the union of the current readers' indices as the
+     * projection, unless it already is (mutex held). Called after
+     * every change of readers, before the mutex is released.
+     */
+    void refreshProjectionLocked();
+
+    /** True when @p p holds every counter of the current projection. */
+    bool coversLocked(const CounterProjection *p) const;
+
+    /**
+     * @p model's prediction from @p sample's values, read through
+     * @p positions (mutex held). @return False, leaving @p watts
+     * alone, when the sample's projection lacks one of its counters.
+     */
+    bool predictAuxLocked(const MachinePowerModel &model,
+                          ProjectedPositions &positions,
+                          const SampleView &sample, double &watts);
 
     struct ShadowState
     {
@@ -333,16 +415,25 @@ class MachineEntry
     std::uint32_t index_;
     std::uint32_t shard_;
     MachineStateSlot &state_;
+    ProjectionTable &projections_;
+    std::atomic<const CounterProjection *> projection_{nullptr};
     std::mutex mu_;
     OnlinePowerEstimator estimator_;
     void *observerState_ = nullptr;
+
+    /** Scratch for one projected feature row of an aux model. */
+    std::vector<double> auxRow_;
 
     bool quarantined_ = false;
     /** Substitute's latest prediction; NaN until the next sample. */
     double substituteW_ = 0.0;
     std::shared_ptr<const MachinePowerModel> substituteModel_;
+    ProjectedPositions substitutePos_;
     std::unique_ptr<ShadowState> shadow_;
+    ProjectedPositions shadowPos_;
     ReferenceRing ref_;
+    /** The deployed model's inputs, for reference capture. */
+    ProjectedPositions refPos_;
 };
 
 /** Dense, index-addressed machine table with lock-striped id lookup. */
@@ -425,6 +516,8 @@ class EstimatorRegistry
     }
 
     std::vector<Shard> shards;
+    /** Outlives the entries and every queue that holds its pointers. */
+    ProjectionTable projections;
 
     /** The machine table, guarded by orderMu. */
     mutable std::mutex orderMu;

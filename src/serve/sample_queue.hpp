@@ -10,20 +10,24 @@
  * would be least useful by the time it was produced — and every drop
  * is counted so backpressure is observable, never silent.
  *
- * Row buffers are owned by the queue and recycled, never freed on the
- * hot path: popBatch() *swaps* slot buffers with the consumer's
+ * A slot carries only the counters its machine's models read: push()
+ * gathers the producer's full catalog row through the machine's
+ * CounterProjection (typically 6-8 of 186 counters) and stores the
+ * projection pointer beside the values, so the row never crosses
+ * cores whole. Rows arrive as native doubles (CounterRow) or still in
+ * wire layout (CounterRowLE), gathered in place either way.
+ *
+ * Value buffers are owned by the queue and recycled, never freed on
+ * the hot path: popBatch() *swaps* slot buffers with the consumer's
  * recycled batch buffers rather than moving ownership out, and the
  * batch buffers it gets back go onto a LIFO spare stack; push()
- * copies counter values into the top spare, i.e. the buffer the
- * consumer returned last. After warmup, steady-state ingestion and
- * draining perform zero heap allocation — the malloc/free-per-sample
- * churn that used to dominate the drain path (one free per evaluated
- * row) is gone entirely.
+ * gathers into the top spare, i.e. the buffer the consumer returned
+ * last. After warmup, steady-state ingestion and draining perform
+ * zero heap allocation.
  *
  * The stack, not the ring, decides which buffer a push writes: a
  * drained ring slot is reused only after the ring wraps, by when a
- * buffer parked in it is cold and copying a wide counter row into it
- * costs a cache miss per line. Off the stack, the buffer a push
+ * buffer parked in it is cold. Off the stack, the buffer a push
  * writes is one the consumer released moments ago, still in cache.
  */
 #ifndef CHAOS_SERVE_SAMPLE_QUEUE_HPP
@@ -37,24 +41,59 @@
 #include <utility>
 #include <vector>
 
+#include "core/online.hpp"
+#include "util/endian.hpp"
+
 namespace chaos::serve {
 
 class MachineEntry;
+
+/** A producer's catalog-ordered counter row, as native doubles. */
+struct CounterRow
+{
+    const double *values = nullptr;
+    std::size_t size = 0;
+
+    double operator[](std::size_t i) const { return values[i]; }
+};
+
+/**
+ * The same row still in wire layout: @c size little-endian IEEE-754
+ * doubles back to back at any alignment, read in place.
+ */
+struct CounterRowLE
+{
+    const std::uint8_t *bytes = nullptr;
+    std::size_t size = 0;
+
+    double
+    operator[](std::size_t i) const
+    {
+        return loadLE<double>(bytes + sizeof(double) * i);
+    }
+};
 
 /** One enqueued machine-second of telemetry. */
 struct QueuedSample
 {
     /** Registry entry of the machine this sample belongs to. */
     MachineEntry *entry = nullptr;
-    /** Catalog-ordered counter vector (recycled buffer, see file). */
-    std::vector<double> catalogRow;
+    /** What @c values were gathered through (interned; never null). */
+    const CounterProjection *projection = nullptr;
+    /**
+     * The row's counters at @c projection's indices, NaN where the
+     * row was too short (recycled buffer, see file).
+     */
+    std::vector<double> values;
+    /** Width of the row the producer sent. */
+    std::size_t rowSize = 0;
     /** Metered reference power; NaN when the machine has no meter. */
     double meteredW = std::numeric_limits<double>::quiet_NaN();
     /**
      * Monotonic stamp (obs::traceNowNs) taken where the sample entered
      * the pipeline — at wire decode for network ingest, at submit for
      * in-process producers. 0 when stage tracing is disabled. Rides
-     * the recycled slot like the row buffer, so stamping adds no
+     * the recycled slot like the value buffer, so stamping adds no
      * allocation to the hot path.
      */
     std::uint64_t ingestNs = 0;
@@ -63,11 +102,11 @@ struct QueuedSample
 /**
  * Mutex-protected bounded FIFO of QueuedSamples (MPSC: any number of
  * producers, one draining consumer). Storage is a preallocated ring
- * of capacity slots plus a fixed spare stack; the row buffers are
- * recycled (values copied into the latest spare, buffers swapped
+ * of capacity slots plus a fixed spare stack; the value buffers are
+ * recycled (values gathered into the latest spare, buffers swapped
  * out), so steady-state pushing and popping never touch the
- * allocator. All operations are O(1) apart
- * from popBatch, which is linear in the batch it returns.
+ * allocator. Pushes are linear in the projection's width, popBatch
+ * in the batch it returns; everything else is O(1).
  */
 class BoundedSampleQueue
 {
@@ -79,21 +118,25 @@ class BoundedSampleQueue
     {}
 
     /**
-     * Enqueue one sample by value: the counter row is *copied* into
-     * the most recently returned spare buffer (no allocation once
-     * that buffer has seen a row at least as wide). When the queue is
-     * full the *oldest* sample is discarded to make room (drop-oldest
-     * policy).
+     * Enqueue one sample: the counters of @p row at @p projection's
+     * indices are gathered into the most recently returned spare
+     * buffer (no allocation once that buffer has held a projection
+     * at least as wide); an index at or past the row's size reads as
+     * NaN. When the queue is full the *oldest* sample is discarded to
+     * make room (drop-oldest policy). The producer keeps (and can
+     * reuse) its own row storage.
      *
+     * @param row A CounterRow or CounterRowLE.
      * @return The registry entry of the machine whose sample was
      *         dropped by this push, or nullptr when nothing was
      *         dropped. The victim is the evicted (oldest) sample's
      *         machine — not necessarily the pushing one — so callers
      *         can attribute backpressure loss per machine.
      */
+    template <typename Row>
     MachineEntry *
-    push(MachineEntry *entry, const double *row, std::size_t rowSize,
-         double meteredW, std::uint64_t ingestNs = 0)
+    push(MachineEntry *entry, const CounterProjection &projection,
+         const Row &row, double meteredW, std::uint64_t ingestNs = 0)
     {
         std::lock_guard<std::mutex> lock(mu);
         MachineEntry *droppedFrom = nullptr;
@@ -102,15 +145,8 @@ class BoundedSampleQueue
             head = next(head);
             --count;
         }
-        // assign() reuses the evicted occupant's capacity or the top
-        // spare's; the producer keeps (and can reuse) its own row
-        // storage.
-        QueuedSample &slot = slots[(head + count) % slots.size()];
-        takeSpare(slot);
-        slot.entry = entry;
-        slot.catalogRow.assign(row, row + rowSize);
-        slot.meteredW = meteredW;
-        slot.ingestNs = ingestNs;
+        fill(slots[(head + count) % slots.size()], entry, projection,
+             row, meteredW, ingestNs);
         ++count;
         return droppedFrom;
     }
@@ -124,26 +160,23 @@ class BoundedSampleQueue
      *
      * @return True when the sample was enqueued.
      */
+    template <typename Row>
     bool
-    tryPush(MachineEntry *entry, const double *row, std::size_t rowSize,
-            double meteredW, std::uint64_t ingestNs = 0)
+    tryPush(MachineEntry *entry, const CounterProjection &projection,
+            const Row &row, double meteredW, std::uint64_t ingestNs = 0)
     {
         std::lock_guard<std::mutex> lock(mu);
         if (count == slots.size())
             return false;
-        QueuedSample &slot = slots[(head + count) % slots.size()];
-        takeSpare(slot);
-        slot.entry = entry;
-        slot.catalogRow.assign(row, row + rowSize);
-        slot.meteredW = meteredW;
-        slot.ingestNs = ingestNs;
+        fill(slots[(head + count) % slots.size()], entry, projection,
+             row, meteredW, ingestNs);
         ++count;
         return true;
     }
 
     /**
      * Transfer up to @p maxItems samples into @p out, oldest first.
-     * Row buffers are *swapped*, not moved: each out element's
+     * Value buffers are *swapped*, not moved: each out element's
      * previous buffer goes onto the spare stack for reuse, so a caller
      * draining with the same scratch array reaches a steady state
      * where no allocation happens at all. Elements of @p out past the
@@ -161,13 +194,14 @@ class BoundedSampleQueue
         while (moved < maxItems && count > 0) {
             QueuedSample &slot = slots[head];
             out[moved].entry = slot.entry;
+            out[moved].projection = slot.projection;
+            out[moved].rowSize = slot.rowSize;
             out[moved].meteredW = slot.meteredW;
             out[moved].ingestNs = slot.ingestNs;
-            std::swap(out[moved].catalogRow, slot.catalogRow);
+            std::swap(out[moved].values, slot.values);
             // A full stack leaves the buffer parked in the slot.
-            if (slot.catalogRow.capacity() != 0 &&
-                spareTop < spare.size())
-                spare[spareTop++].swap(slot.catalogRow);
+            if (slot.values.capacity() != 0 && spareTop < spare.size())
+                spare[spareTop++].swap(slot.values);
             head = next(head);
             --count;
             ++moved;
@@ -191,16 +225,31 @@ class BoundedSampleQueue
 
   private:
     /**
-     * Give the free @p slot the top spare buffer, unless it still
-     * holds one (a drop-oldest overwrite reuses the evicted row's, and
-     * a slot drained while the stack was full kept its own).
+     * Write one sample into the free @p slot. The slot takes the top
+     * spare buffer unless it still holds one (a drop-oldest overwrite
+     * reuses the evicted sample's, and a slot drained while the stack
+     * was full kept its own); resize() then reuses its capacity.
      */
+    template <typename Row>
     void
-    takeSpare(QueuedSample &slot)
+    fill(QueuedSample &slot, MachineEntry *entry,
+         const CounterProjection &projection, const Row &row,
+         double meteredW, std::uint64_t ingestNs)
     {
-        if (slot.catalogRow.capacity() != 0 || spareTop == 0)
-            return;
-        slot.catalogRow.swap(spare[--spareTop]);
+        if (slot.values.capacity() == 0 && spareTop != 0)
+            slot.values.swap(spare[--spareTop]);
+        const std::vector<std::size_t> &indices = projection.indices();
+        slot.values.resize(indices.size());
+        for (std::size_t j = 0; j < indices.size(); ++j) {
+            slot.values[j] = indices[j] < row.size
+                                 ? row[indices[j]]
+                                 : std::numeric_limits<double>::quiet_NaN();
+        }
+        slot.entry = entry;
+        slot.projection = &projection;
+        slot.rowSize = row.size;
+        slot.meteredW = meteredW;
+        slot.ingestNs = ingestNs;
     }
 
     /** The ring position after @p pos. */

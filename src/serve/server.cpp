@@ -33,6 +33,7 @@ struct ServeMetrics
     obs::Counter &batches;
     obs::Counter &snapshots;
     obs::Counter &saturations;
+    obs::Counter &projectionMisses;
     obs::Gauge &queueDepth;
     obs::Histogram &batchSize;
     obs::Histogram &drainLatencyMs;
@@ -51,6 +52,8 @@ struct ServeMetrics
             registry.counter("chaos.serve.snapshots",
                              obs::Stability::Scheduling),
             registry.counter("chaos.serve.saturations",
+                             obs::Stability::Scheduling),
+            registry.counter("chaos.serve.projection_misses",
                              obs::Stability::Scheduling),
             registry.gauge("chaos.serve.queue_depth",
                            obs::Stability::Scheduling),
@@ -173,10 +176,10 @@ FleetServer::submit(const std::string &machineId,
     submitTo(*entry, catalogRow, rowSize, meteredW);
 }
 
+template <typename Row>
 bool
-FleetServer::offer(MachineEntry &entry, const double *catalogRow,
-                   std::size_t rowSize, double meteredW,
-                   std::uint64_t ingestNs)
+FleetServer::offerRow(MachineEntry &entry, const Row &row,
+                      double meteredW, std::uint64_t ingestNs)
 {
     QueueShard &shard = *queueShards[entry.shard()];
     if (ingestNs == 0)
@@ -185,13 +188,29 @@ FleetServer::offer(MachineEntry &entry, const double *catalogRow,
     // processed + dropped invariant holds at every instant; undo on
     // refusal (the transient overcount only makes waitIdle wait).
     submittedCount.fetch_add(1);
-    if (!shard.queue.tryPush(&entry, catalogRow, rowSize, meteredW,
+    if (!shard.queue.tryPush(&entry, entry.projection(), row, meteredW,
                              ingestNs)) {
         submittedCount.fetch_sub(1);
         return false;
     }
     ServeMetrics::get().submitted.add();
     return true;
+}
+
+bool
+FleetServer::offer(MachineEntry &entry, const double *catalogRow,
+                   std::size_t rowSize, double meteredW,
+                   std::uint64_t ingestNs)
+{
+    return offerRow(entry, CounterRow{catalogRow, rowSize}, meteredW,
+                    ingestNs);
+}
+
+bool
+FleetServer::offer(MachineEntry &entry, const CounterRowLE &row,
+                   double meteredW, std::uint64_t ingestNs)
+{
+    return offerRow(entry, row, meteredW, ingestNs);
 }
 
 void
@@ -204,7 +223,8 @@ FleetServer::submitTo(MachineEntry &entry, const double *catalogRow,
     submittedCount.fetch_add(1);
     ServeMetrics::get().submitted.add();
     MachineEntry *droppedFrom = shard.queue.push(
-        &entry, catalogRow, rowSize, meteredW, stageStampNs());
+        &entry, entry.projection(), CounterRow{catalogRow, rowSize},
+        meteredW, stageStampNs());
     if (droppedFrom != nullptr) {
         droppedFrom->noteDrop();
         droppedCount.fetch_add(1);
@@ -228,7 +248,7 @@ FleetServer::drainOnce()
     obs::Span span("serve.drain");
     const auto start = std::chrono::steady_clock::now();
     DrainScratch &ds = scratch;
-    // The batch array is sized once and its row buffers circulate
+    // The batch array is sized once and its value buffers circulate
     // with the shard queues' slots (popBatch swaps buffers); the
     // grouping arrays grow only when a new machine index shows up.
     if (ds.batch.size() < cfg.maxBatch)
@@ -276,8 +296,8 @@ FleetServer::drainOnce()
 
     // Group the batch by machine with a counting sort: assign group
     // ids in first-appearance order, size the per-group slices, then
-    // scatter sample indices (and their in-place views of the queued
-    // counter rows) into contiguous slices of ds.order/ds.views.
+    // scatter in-place views of the queued counter values into
+    // contiguous slices of ds.views.
     // Each machine's samples stay serial and in arrival order (the
     // estimator is stateful); a machine lives on one shard, so the
     // batch holds them in queue order.
@@ -309,20 +329,31 @@ FleetServer::drainOnce()
         ds.groupOffset[g + 1] += ds.groupOffset[g];
     ds.cursor.assign(ds.groupOffset.begin(),
                      ds.groupOffset.end() - 1);
-    ds.order.resize(n);
     ds.views.resize(n);
     ds.watts.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t pos = ds.cursor[ds.sampleGroup[i]]++;
         const QueuedSample &sample = ds.batch[i];
-        ds.order[pos] = i;
-        ds.views[pos] = SampleView{sample.catalogRow.data(),
-                                   sample.catalogRow.size(),
-                                   sample.meteredW};
+        ds.views[pos] = SampleView{sample.values.data(),
+                                   sample.values.size(), sample.meteredW,
+                                   sample.projection, sample.rowSize};
     }
 
     const std::uint64_t predictStartNs =
         stageOn ? obs::traceNowNs() : 0;
+    // A pass's own span is recorded when it ends, after its samples'
+    // observers ran; record its dequeue now, so a trigger raised while
+    // it evaluates (a drift the first pass already shows) still has
+    // this pass in its bundle.
+    auto &flight = obs::FlightRecorder::instance();
+    if (flight.enabled()) {
+        flight.recordSpan(
+            "serve", "serve.pop",
+            static_cast<std::uint64_t>(
+                std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count()));
+    }
     {
         obs::Span predictSpan("serve.predict");
         SampleObserver *observer =
@@ -339,6 +370,11 @@ FleetServer::drainOnce()
                 // bit-identical to the serial scalar path.
                 estimator.estimateBatch(ds.views.data() + first, count,
                                         ds.watts.data() + first);
+                // Samples gathered before a widening of the machine's
+                // projection (one pointer compare each otherwise).
+                if (const std::size_t misses = entry->countMissesLocked(
+                        ds.views.data() + first, count))
+                    ServeMetrics::get().projectionMisses.add(misses);
                 // One flag read per group: the quarantine / shadow /
                 // reference-window hook and the monitor observer cost
                 // nothing when disengaged; when active they consume
@@ -347,12 +383,9 @@ FleetServer::drainOnce()
                 if (!aux && observer == nullptr)
                     return;
                 for (std::size_t k = first; k < first + count; ++k) {
-                    const QueuedSample &sample = ds.batch[ds.order[k]];
-                    if (aux) {
-                        entry->recordSampleLocked(sample.catalogRow,
-                                                  ds.watts[k],
-                                                  sample.meteredW);
-                    }
+                    const SampleView &sample = ds.views[k];
+                    if (aux)
+                        entry->recordSampleLocked(sample, ds.watts[k]);
                     if (observer != nullptr) {
                         observer->onSample(*entry, estimator,
                                            ds.watts[k],
@@ -415,10 +448,10 @@ FleetServer::drainOnce()
         std::lock_guard<std::mutex> lock(latencyMu);
         drainMs.push_back(ms);
     }
-    // Black-box feed: one span per pass, and a processed-count delta
-    // every 64th pass so bundles show recent throughput. One relaxed
-    // load when the recorder is disarmed.
-    auto &flight = obs::FlightRecorder::instance();
+    // Black-box feed: one span per pass (besides its dequeue above),
+    // and a processed-count delta every 64th pass so bundles show
+    // recent throughput. One relaxed load when the recorder is
+    // disarmed.
     if (flight.enabled()) {
         flight.recordSpan("serve", "serve.drain",
                           static_cast<std::uint64_t>(ms * 1e6));

@@ -7,8 +7,10 @@
  * Architecture (one FleetServer):
  *
  *   producers ──submit()──> per-shard BoundedSampleQueue (MPSC ring,
- *                           recycled row buffers, drop-oldest,
- *                           chaos.serve.* drop metrics)
+ *                           each slot only the counters the machine's
+ *                           models read, gathered through its
+ *                           projection; recycled buffers,
+ *                           drop-oldest, chaos.serve.* drop metrics)
  *   drainer thread ──drain pass──> up to maxBatch samples total,
  *                           popped round-robin from every shard into
  *                           one batch, grouped by machine; each group
@@ -198,10 +200,11 @@ class FleetServer
      * shard queue is full the oldest queued sample is dropped and
      * counted. Raises RecoverableError on an unknown machine id.
      *
-     * The counter values are copied into the shard queue's recycled
-     * slot buffer — the caller keeps ownership of @p catalogRow and
-     * may reuse it for the next sample, so a steady-state producer
-     * needs no per-sample allocation either.
+     * The counters at the machine's projection (the ones its models
+     * read) are gathered into the shard queue's recycled slot buffer
+     * — the caller keeps ownership of @p catalogRow and may reuse it
+     * for the next sample, so a steady-state producer needs no
+     * per-sample allocation either.
      *
      * @param meteredW Optional reference reading; finite values feed
      *        the machine's residual statistics.
@@ -241,6 +244,13 @@ class FleetServer
                double meteredW =
                    std::numeric_limits<double>::quiet_NaN(),
                std::uint64_t ingestNs = 0);
+
+    /**
+     * offer() for a row still in wire layout (little-endian doubles):
+     * the projected counters are gathered straight from its bytes.
+     */
+    bool offer(MachineEntry &entry, const CounterRowLE &row,
+               double meteredW, std::uint64_t ingestNs);
 
     /** submit() without the registry lookup (entry from machine()). */
     void submitTo(MachineEntry &entry, const double *catalogRow,
@@ -331,7 +341,7 @@ class FleetServer
      * Reused per-pass drain scratch (guarded by drainMu): the popped
      * batch, the counting-sort grouping of it by machine, the sample
      * views handed to estimateBatch, and the per-sample watts. The
-     * batch array's row buffers circulate with the shard queues'
+     * batch array's value buffers circulate with the shard queues'
      * slot buffers (popBatch swaps, never frees), and the grouping is
      * addressed by machine index (a pass stamp marks the machines
      * seen this pass), so once the arrays have grown to the fleet a
@@ -344,9 +354,8 @@ class FleetServer
         std::vector<std::size_t> sampleGroup;     ///< Batch i -> group.
         std::vector<std::size_t> groupOffset;     ///< Group slices.
         std::vector<std::size_t> cursor;          ///< Scatter cursors.
-        std::vector<std::size_t> order;   ///< Batch indices, grouped.
-        std::vector<SampleView> views;    ///< Aligned with order.
-        std::vector<double> watts;        ///< Aligned with order.
+        std::vector<SampleView> views;    ///< The batch, grouped.
+        std::vector<double> watts;        ///< Aligned with views.
         std::vector<double> waitUs;       ///< Stage-tracing scratch.
         /** Per machine index: the pass that last saw it, its group. */
         std::vector<std::uint64_t> passStamp;
@@ -356,6 +365,11 @@ class FleetServer
 
     void drainerLoop();
     void emitPeriodicSnapshot();
+
+    /** Both offer() overloads: gather @p row, enqueue if room. */
+    template <typename Row>
+    bool offerRow(MachineEntry &entry, const Row &row, double meteredW,
+                  std::uint64_t ingestNs);
 
     FleetServerConfig cfg;
     EstimatorRegistry registry;

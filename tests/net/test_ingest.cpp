@@ -482,5 +482,45 @@ TEST(Ingest, StopWhileClientsConnectedIsClean)
     EXPECT_FALSE(ingest.running());
 }
 
+TEST(Ingest, ClientSeesCreditsBeforeItsWindowFills)
+{
+    // The server credits every sample within a poll round; a client
+    // below its window reads those credits once half the window is in
+    // flight, without draining and without blocking on a full window.
+    auto fleet = makeFleet(1);
+    ChaosIngestServer ingest(*fleet);
+    ingest.start();
+
+    IngestClientConfig cfg;
+    cfg.port = ingest.port();
+    cfg.window = 64;
+    cfg.coalesceBytes = 0; // Every frame reaches the server at once.
+    IngestClient client(cfg);
+    client.connect();
+
+    const std::vector<double> row = catalogRow(20.0, 30.0);
+    const std::size_t belowHalf = cfg.window / 2 - 1;
+    for (std::size_t i = 0; i < belowHalf; ++i)
+        client.send(i, "machine0", row.data(), row.size());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (ingest.stats().samplesAccepted < belowHalf &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(ingest.stats().samplesAccepted, belowHalf);
+    // The round that accepted them also wrote their credit.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(client.accepted(), 0u); // Nothing read below half.
+
+    // The send that puts half the window in flight reads the credit.
+    client.send(belowHalf, "machine0", row.data(), row.size());
+    EXPECT_GE(client.accepted(), belowHalf);
+    EXPECT_FALSE(client.latenciesMs().empty());
+
+    ASSERT_TRUE(client.drain());
+    EXPECT_EQ(client.accepted(), belowHalf + 1);
+    ingest.stop();
+}
+
 } // namespace
 } // namespace chaos::net

@@ -170,10 +170,10 @@ TEST(Protocol, SampleRoundTripIsBitwise)
         EXPECT_EQ(decoded.sample.hasMetered, sample.hasMetered);
         EXPECT_EQ(bits(decoded.sample.meteredW),
                   bits(sample.meteredW));
-        ASSERT_EQ(decoded.sample.row.size(), sample.row.size());
+        const std::vector<double> row = decoded.sample.decodedRow();
+        ASSERT_EQ(row.size(), sample.row.size());
         for (std::size_t i = 0; i < sample.row.size(); ++i)
-            EXPECT_EQ(bits(decoded.sample.row[i]),
-                      bits(sample.row[i]))
+            EXPECT_EQ(bits(row[i]), bits(sample.row[i]))
                 << "row[" << i << "]";
     }
 }

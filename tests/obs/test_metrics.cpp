@@ -225,8 +225,11 @@ TEST(Metrics, HistogramBulkObserveMatchesScalarObserve)
     const std::vector<double> bounds{1.0, 2.0, 4.0};
     obs::Histogram scalar(bounds);
     obs::Histogram bulk(bounds);
-    const std::vector<double> values{0.5, 1.0, 1.5, 2.0,
-                                     3.0, 9.0, 0.1, 4.0};
+    // Runs within one bucket, values on its bounds, and jumps both
+    // ways: bulk observe reuses the last value's bucket when it fits.
+    const std::vector<double> values{0.5, 1.0, 1.5, 2.0, 3.0,
+                                     9.0, 0.1, 4.0, 4.0, 9.5,
+                                     12.0, 3.5, 2.5, 2.0, 1.0};
     for (double v : values)
         scalar.observe(v);
     bulk.observeBulk(values.data(), values.size());
