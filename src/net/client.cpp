@@ -33,6 +33,12 @@ void
 IngestClient::connect()
 {
     sock = connectTcp(cfg.host, cfg.port);
+    // Slots, and frames that may name them, are per connection.
+    batch = SampleBatchEncoder{};
+    outBuf.clear();
+    unsentSampleBytes = 0;
+    slotOf.clear();
+    slots.clear();
 }
 
 void
@@ -52,9 +58,19 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
                 "net: ack window stalled (server not acking)");
     }
 
-    encodeSample(tick, machineId, !std::isnan(meteredW), meteredW, row,
-                 rowSize, outBuf);
-    if (outBuf.size() >= cfg.coalesceBytes)
+    const std::uint32_t slot = slotFor(machineId);
+    const bool metered = !std::isnan(meteredW);
+    if (slot < slots.size() && slots[slot].bound) {
+        const std::vector<std::size_t> &indices = slots[slot].indices;
+        batch.add(outBuf, slot, tick, metered, meteredW, row, rowSize,
+                  indices.data(), indices.size());
+    } else {
+        batch.seal(outBuf);
+        encodeSample(tick, machineId, metered, meteredW, row, rowSize,
+                     outBuf);
+    }
+    unsentSampleBytes += sampleFrameSize(machineId.size(), rowSize);
+    if (unsentSampleBytes >= cfg.coalesceBytes)
         flushSendBuffer();
     ++sentCount;
     sendTimes.push_back(std::chrono::steady_clock::now());
@@ -69,6 +85,38 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
         readSocket(MSG_DONTWAIT);
     }
     pump(/*blocking=*/false);
+}
+
+std::uint32_t
+IngestClient::slotFor(const std::string &machineId)
+{
+    const auto it = slotOf.find(machineId);
+    if (it != slotOf.end())
+        return it->second;
+    if (slots.size() >= kMaxSlots)
+        return kMaxSlots;
+    const auto slot = static_cast<std::uint32_t>(slots.size());
+    // Encode first: an id the encoder refuses takes no slot number.
+    queueBind(slot, machineId);
+    slots.push_back(Slot{machineId, {}, false});
+    slotOf.emplace(machineId, slot);
+    return slot;
+}
+
+void
+IngestClient::queueBind(std::uint32_t slot, const std::string &machineId)
+{
+    batch.seal(outBuf);
+    encodeBind(slot, machineId, outBuf);
+}
+
+const std::vector<std::size_t> *
+IngestClient::projectionOf(const std::string &machineId) const
+{
+    const auto it = slotOf.find(machineId);
+    if (it == slotOf.end() || !slots[it->second].bound)
+        return nullptr;
+    return &slots[it->second].indices;
 }
 
 void
@@ -149,11 +197,29 @@ void
 IngestClient::handleAck(const Frame &ack)
 {
     if (ack.type == FrameType::Nack) {
+        // An UnknownMachine Nack whose rejected total does not advance
+        // answers a Bind, not a sample: the slot stays unbound.
+        if (ack.nack.reason == NackReason::UnknownMachine &&
+            ack.nack.rejectedTotal == lastNackRejected)
+            return;
+        lastNackRejected = ack.nack.rejectedTotal;
         const int idx = static_cast<int>(ack.nack.reason);
         if (idx >= 0 && idx < 4)
             ++nackCounts[idx];
         // Totals advance on the next Credit frame; a Nack alone is
         // advisory (reason + running rejected count).
+        return;
+    }
+    if (ack.type == FrameType::Bound) {
+        raiseIf(ack.bound.slot >= slots.size(),
+                "net: Bound for a slot this client never bound");
+        Slot &slot = slots[ack.bound.slot];
+        slot.indices = ack.bound.indices;
+        // Acknowledge a later Bound: entries after this Bind carry
+        // the new projection, the ones before it the old.
+        if (slot.bound)
+            queueBind(ack.bound.slot, slot.machineId);
+        slot.bound = true;
         return;
     }
     if (ack.type != FrameType::Credit)
@@ -183,6 +249,8 @@ IngestClient::handleAck(const Frame &ack)
 void
 IngestClient::flushSendBuffer()
 {
+    batch.seal(outBuf);
+    unsentSampleBytes = 0;
     if (outBuf.empty())
         return;
     writeAll(outBuf.data(), outBuf.size());

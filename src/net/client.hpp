@@ -18,6 +18,19 @@
  * return window credit: accounting never wedges on an overloaded
  * server.
  *
+ * Slots: the first send for a machine on a connection also sends
+ * Bind{slot, id}, the slot being the next dense number. Until the
+ * server's Bound{slot, indices} arrives, the machine's samples go out
+ * as full-row Sample frames; after it, as SampleBatch entries holding
+ * only the counters at those catalog indices (NaN past the row's
+ * width), every entry of a flush under one frame header and one CRC.
+ * A later Bound for the slot (the machine's projection moved) is
+ * acknowledged with another Bind, written after the entries encoded
+ * under the old projection and before the first under the new one.
+ * A machine the server does not know gets a Nack(UnknownMachine)
+ * whose rejected total does not advance; its slot stays unbound and
+ * its samples keep going out as Sample frames (each then rejected).
+ *
  * Latency: every sample's send time is remembered until a Credit
  * frame covers it; the credit-ack round trip is the frame latency the
  * bench gates on (p50/p99 over a bounded ring).
@@ -30,6 +43,7 @@
 #include <deque>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -49,12 +63,18 @@ struct IngestClientConfig
     /** Give up pumping acks after this long with no progress, ms. */
     int ackTimeoutMs = 10000;
     /**
-     * Coalesce encoded frames into one write() once this many bytes
-     * are buffered. Buffered frames are always flushed before the
-     * client blocks waiting for acks (the server cannot ack what it
-     * has not received), so correctness never depends on the
-     * threshold — only the syscall rate does. 0 writes every frame
-     * immediately (lowest latency, one syscall per sample).
+     * Write the buffered frames once the samples handed to send()
+     * since the last write add up to this many bytes as full-row
+     * Sample frames (sampleFrameSize: 8 per counter plus the id and
+     * fixed fields), whatever they take on the wire: a bound
+     * machine's batch entry holds only its projected counters, so
+     * the client writes at the same samples as a client that never
+     * binds, with ~20x fewer bytes. Buffered frames are always
+     * flushed before the client blocks waiting for acks (the server
+     * cannot ack what it has not received), so correctness never
+     * depends on the threshold — only the syscall rate does. 0 writes
+     * every sample immediately (lowest latency, one syscall per
+     * sample).
      */
     std::size_t coalesceBytes = 56 * 1024;
 };
@@ -116,7 +136,29 @@ class IngestClient
     /** Credit-ack round trips observed so far, milliseconds. */
     std::vector<double> latenciesMs() const;
 
+    /**
+     * The catalog indices @p machineId's samples are sent at (its
+     * latest Bound), or null while its samples go as full rows.
+     */
+    const std::vector<std::size_t> *
+    projectionOf(const std::string &machineId) const;
+
   private:
+    /** One machine this connection has sent for. */
+    struct Slot
+    {
+        std::string machineId;
+        std::vector<std::size_t> indices; ///< Its latest Bound.
+        bool bound = false;
+    };
+
+    /**
+     * @p machineId's slot, binding a new one (Bind frame) on its
+     * first send; kMaxSlots once the connection has bound that many.
+     */
+    std::uint32_t slotFor(const std::string &machineId);
+    /** Seal any open batch, then append Bind{slot, machineId}. */
+    void queueBind(std::uint32_t slot, const std::string &machineId);
     std::uint64_t inFlight() const
     {
         return sentCount - (acceptedTotal + rejectedTotal);
@@ -137,12 +179,20 @@ class IngestClient
     FrameReader reader;
     Frame frame;                      ///< Reused decode target.
     std::vector<std::uint8_t> outBuf; ///< Coalesced unsent frames.
+    SampleBatchEncoder batch;         ///< Open batch frame in outBuf.
+    /** Sample-frame bytes of the samples sent since the last write. */
+    std::size_t unsentSampleBytes = 0;
+
+    std::unordered_map<std::string, std::uint32_t> slotOf;
+    std::vector<Slot> slots;
 
     std::uint64_t sentCount = 0;
     std::uint64_t lastAckRead = 0; ///< sentCount at send()'s last read.
     std::uint64_t acceptedTotal = 0;
     std::uint64_t rejectedTotal = 0;
     std::uint64_t nackCounts[4] = {0, 0, 0, 0};
+    /** Rejected total of the last Nack (see handleAck). */
+    std::uint64_t lastNackRejected = 0;
 
     /** Send times of in-flight samples, oldest first. */
     std::deque<std::chrono::steady_clock::time_point> sendTimes;

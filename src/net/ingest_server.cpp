@@ -91,6 +91,83 @@ peerName(int fd)
 
 } // namespace
 
+SlotBindings::BindOutcome
+SlotBindings::bind(const BindFrame &frame)
+{
+    if (frame.slot == slots_.size()) {
+        Binding b;
+        b.entry = fleet_.machine(frame.machineId);
+        if (b.entry != nullptr)
+            b.projection = &b.entry->projection();
+        slots_.push_back(b);
+        return b.entry != nullptr ? BindOutcome::Bound
+                                  : BindOutcome::Unknown;
+    }
+    if (frame.slot > slots_.size())
+        return BindOutcome::Invalid;
+    Binding &b = slots_[frame.slot];
+    if (b.entry == nullptr || b.offered == nullptr ||
+        b.entry->id() != frame.machineId)
+        return BindOutcome::Invalid;
+    b.projection = b.offered;
+    b.offered = nullptr;
+    return BindOutcome::Acked;
+}
+
+bool
+SlotBindings::admits(const SampleBatchFrame &batch) const
+{
+    BatchEntry e;
+    const std::uint8_t *p = batch.entries;
+    for (std::uint32_t i = 0; i < batch.count; ++i) {
+        p = readBatchEntry(p, e);
+        if (e.slot >= slots_.size())
+            return false;
+        const Binding &b = slots_[e.slot];
+        if (b.entry == nullptr || e.valueCount != b.projection->size())
+            return false;
+    }
+    return true;
+}
+
+SlotBindings::BatchResult
+SlotBindings::offer(const SampleBatchFrame &batch, std::uint64_t ingestNs,
+                    std::uint64_t &rejectedTotal,
+                    std::vector<std::uint8_t> &out)
+{
+    BatchResult result;
+    BatchEntry e;
+    const std::uint8_t *p = batch.entries;
+    for (std::uint32_t i = 0; i < batch.count; ++i) {
+        p = readBatchEntry(p, e);
+        Binding &b = slots_[e.slot];
+        if (b.offered == nullptr) {
+            const CounterProjection &now = b.entry->projection();
+            if (&now != b.projection) {
+                b.offered = &now;
+                encodeBound(e.slot, now.indices(), out);
+            }
+        }
+        const double meteredW =
+            e.hasMetered ? e.meteredW
+                         : std::numeric_limits<double>::quiet_NaN();
+        if (fleet_.offer(*b.entry, *b.projection,
+                         serve::ProjectedRowLE{e.values, e.rowWidth},
+                         meteredW, ingestNs)) {
+            ++result.accepted;
+            continue;
+        }
+        ++result.rejected;
+        if (result.firstRejected == nullptr)
+            result.firstRejected = b.entry;
+        NackFrame nack;
+        nack.rejectedTotal = ++rejectedTotal;
+        nack.reason = NackReason::Backpressure;
+        encodeNack(nack, out);
+    }
+    return result;
+}
+
 /**
  * Per-connection state, owned by the poll thread. Stats counters are
  * atomics so stats() can read them from other threads without a lock;
@@ -98,6 +175,8 @@ peerName(int fd)
  */
 struct ChaosIngestServer::Connection
 {
+    explicit Connection(serve::FleetServer &fleet) : slots(fleet) {}
+
     OwnedFd fd;
     std::uint64_t id = 0;
     std::string peer;
@@ -116,8 +195,8 @@ struct ChaosIngestServer::Connection
     /** True inside a saturation episode (one event per episode). */
     bool backpressureEpisode = false;
 
-    /** Registry lookups cached per connection. */
-    std::unordered_map<std::string, serve::MachineEntry *> entries;
+    /** The machines this connection's client bound, by slot. */
+    SlotBindings slots;
 
     // Cross-thread-visible accounting (stats()).
     std::atomic<bool> openFlag{true};
@@ -285,7 +364,7 @@ ChaosIngestServer::acceptPending()
         ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
 
-        auto conn = std::make_shared<Connection>();
+        auto conn = std::make_shared<Connection>(fleet);
         conn->peer = peerName(sock.fd());
         conn->fd = std::move(sock);
         conn->id = nextConnId.fetch_add(1);
@@ -349,14 +428,30 @@ ChaosIngestServer::processFrames(Connection &conn)
         if (conn.reader.next(conn.frame) != DecodeStatus::Ok)
             break;
         const std::uint64_t t1 = stageOn ? obs::traceNowNs() : 0;
-        if (stageOn)
-            serve::StageMetrics::get().decodeUs.observe(
-                static_cast<double>(t1 - t0) / 1000.0);
+        // decode_us is per sample: a batch's decode time is shared by
+        // its entries.
+        const auto observeDecode = [&](std::uint32_t samples) {
+            if (stageOn)
+                serve::StageMetrics::get().decodeUs.observe(
+                    static_cast<double>(t1 - t0) / 1000.0 / samples);
+        };
         conn.framesIn.fetch_add(1);
         NetMetrics::get().frames.add();
         switch (conn.frame.type) {
         case FrameType::Sample:
+            observeDecode(1);
             handleSample(conn, t1);
+            break;
+        case FrameType::SampleBatch:
+            observeDecode(conn.frame.batch.count);
+            if (!handleBatch(conn, t1))
+                return dropBadPeer(
+                    conn, "sample batch names an unbound slot or "
+                          "the wrong number of values");
+            break;
+        case FrameType::Bind:
+            if (!handleBind(conn))
+                return dropBadPeer(conn, "bind out of sequence");
             break;
         case FrameType::Introspect:
             queueSnapshot(conn, conn.frame.introspect.seq);
@@ -364,6 +459,7 @@ ChaosIngestServer::processFrames(Connection &conn)
         case FrameType::Credit:
         case FrameType::Nack:
         case FrameType::Snapshot:
+        case FrameType::Bound:
             // Server-to-client frames; ignore if echoed back.
             break;
         }
@@ -372,18 +468,80 @@ ChaosIngestServer::processFrames(Connection &conn)
             return false;
         }
     }
-    if (!conn.reader.error().empty()) {
-        conn.badFrames.fetch_add(1);
-        NetMetrics::get().badFrames.add();
-        // Best effort: tell the peer why before closing.
-        queueNack(conn, NackReason::BadSample);
-        flushWrites(conn);
-        if (conn.openFlag.load())
-            closeConnection(conn, conn.reader.error(), true);
-        return false;
-    }
+    if (!conn.reader.error().empty())
+        return dropBadPeer(conn, conn.reader.error());
     if (conn.sinceCredit >= cfg.creditBatch)
         queueCredit(conn);
+    return true;
+}
+
+bool
+ChaosIngestServer::dropBadPeer(Connection &conn, const std::string &reason)
+{
+    conn.badFrames.fetch_add(1);
+    NetMetrics::get().badFrames.add();
+    // Best effort: tell the peer why before closing.
+    queueNack(conn, NackReason::BadSample);
+    flushWrites(conn);
+    if (conn.openFlag.load())
+        closeConnection(conn, reason, true);
+    return false;
+}
+
+bool
+ChaosIngestServer::handleBind(Connection &conn)
+{
+    const BindFrame &bind = conn.frame.bind;
+    switch (conn.slots.bind(bind)) {
+    case SlotBindings::BindOutcome::Bound:
+        compactOutput(conn);
+        encodeBound(bind.slot, conn.slots.at(bind.slot).projection->indices(),
+                    conn.outBuf);
+        return true;
+    case SlotBindings::BindOutcome::Acked:
+        return true;
+    case SlotBindings::BindOutcome::Unknown:
+        // Not a sample: the Nack's rejected total does not advance.
+        queueNack(conn, NackReason::UnknownMachine);
+        return true;
+    case SlotBindings::BindOutcome::Invalid:
+        break;
+    }
+    return false;
+}
+
+bool
+ChaosIngestServer::handleBatch(Connection &conn, std::uint64_t ingestNs)
+{
+    const SampleBatchFrame &batch = conn.frame.batch;
+    if (!conn.slots.admits(batch))
+        return false;
+    compactOutput(conn);
+    const SlotBindings::BatchResult r =
+        conn.slots.offer(batch, ingestNs, conn.rejectedTotal, conn.outBuf);
+
+    // Accounting once per frame, not per entry.
+    NetMetrics &metrics = NetMetrics::get();
+    metrics.samples.add(batch.count);
+    conn.acceptedTotal += r.accepted;
+    conn.sinceCredit += batch.count;
+    conn.samplesAccepted.fetch_add(r.accepted);
+    if (r.rejected == 0) {
+        conn.backpressureEpisode = false; // Episode ended.
+        return true;
+    }
+    conn.rejectedBackpressure.fetch_add(r.rejected);
+    metrics.rejected.add(r.rejected);
+    metrics.nacks.add(r.rejected);
+    nacks.fetch_add(r.rejected);
+    if (!conn.backpressureEpisode) {
+        conn.backpressureEpisode = true;
+        metrics.backpressure.add();
+        obs::EventLog::instance().emit(
+            obs::EventKind::Backpressure, conn.peer,
+            "ingest rejecting samples for '" + r.firstRejected->id() +
+                "': shard queue full");
+    }
     return true;
 }
 
@@ -394,15 +552,9 @@ ChaosIngestServer::handleSample(Connection &conn,
     const SampleFrame &sample = conn.frame.sample;
     NetMetrics::get().samples.add();
 
-    serve::MachineEntry *entry = nullptr;
-    auto it = conn.entries.find(sample.machineId);
-    if (it != conn.entries.end()) {
-        entry = it->second;
-    } else {
-        entry = fleet.machine(sample.machineId);
-        if (entry != nullptr)
-            conn.entries.emplace(sample.machineId, entry);
-    }
+    // Sample frames are a machine's first samples on a binding
+    // connection, or a peer that never binds: resolve the id per frame.
+    serve::MachineEntry *const entry = fleet.machine(sample.machineId);
 
     if (entry == nullptr) {
         ++conn.rejectedTotal;

@@ -10,8 +10,28 @@
  *   clients ──TCP──> poll() listener thread
  *       per-connection FrameReader (tolerates arbitrary
  *       fragmentation; see net/protocol.hpp)
- *       decoded Sample frames ──offer()──> FleetServer shard queues
- *       Credit/Nack frames ──buffered writes──> clients
+ *       Bind frames ──SlotBindings──> Bound replies
+ *       SampleBatch entries, Sample frames ──offer()──> FleetServer
+ *       shard queues
+ *       Credit/Nack/Bound frames ──buffered writes──> clients
+ *
+ * Slots: a client names each machine once per connection with a
+ * Bind{slot, id}; the connection's SlotBindings, a vector indexed by
+ * slot, resolves the id once and answers Bound{slot, indices} with
+ * the machine's interned projection. The client then sends that
+ * machine's samples as SampleBatch entries holding only the
+ * projected counters, and the poll thread copies each entry's values
+ * straight into a queue slot tagged with the projection the entry
+ * carries — no id, no hash, no gather per sample. When the machine's
+ * projection moves (a swap, a quarantine substitute or a shadow),
+ * the next entry for it triggers a fresh Bound; entries the client
+ * encoded before it saw that Bound still arrive under the old
+ * projection, are accepted, and are counted by the drain as
+ * projection misses (chaos.serve.projection_misses), exactly like an
+ * in-process sample gathered before a widening. The client's
+ * acknowledging Bind marks where the new projection starts. Sample
+ * frames (a client's first samples of a machine, or a peer that never
+ * binds) resolve their id per frame, through the registry.
  *
  * Contracts:
  *
@@ -23,11 +43,15 @@
  *    what it kept. One Backpressure event is emitted per saturation
  *    episode per connection.
  *  - Corruption is connection-fatal: a frame that fails the magic,
- *    version, length, checksum, or structural checks closes the
- *    connection (after a best-effort Nack) with a ConnectionDrop
+ *    version, length, checksum, or structural checks, a SampleBatch
+ *    entry naming an unbound slot or carrying a value count other
+ *    than its slot's projection size, and a Bind that neither names
+ *    the next slot nor acknowledges a Bound, close the connection
+ *    (after a best-effort Nack(BadSample)) with a ConnectionDrop
  *    event and per-connection accounting — a corrupt stream cannot
  *    resynchronize, and a half-trusted frame must never reach an
- *    estimator.
+ *    estimator (a batch is checked whole before any entry is
+ *    offered).
  *  - A rejected or malformed sample is never silently accepted and
  *    never crashes the server; every path increments a counter a
  *    dashboard can see (chaos.net.*) and a per-connection stat the
@@ -46,7 +70,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -54,6 +77,80 @@
 #include "serve/server.hpp"
 
 namespace chaos::net {
+
+/**
+ * The server side of one connection's slots (see the file comment and
+ * net/protocol.hpp): which machine each slot names, the projection
+ * its SampleBatch entries carry, and a fresh Bound awaiting the
+ * client's acknowledgement. Owned by the poll thread like the rest of
+ * a connection, and socket-free, so tests drive it directly.
+ */
+class SlotBindings
+{
+  public:
+    /** One slot. */
+    struct Binding
+    {
+        /** The machine; null when its Bind named an unknown id. */
+        serve::MachineEntry *entry = nullptr;
+        /** What the slot's entries carry: the acknowledged Bound's. */
+        const CounterProjection *projection = nullptr;
+        /** A fresh Bound sent and not yet acknowledged, or null. */
+        const CounterProjection *offered = nullptr;
+    };
+
+    /** What bind() made of a Bind frame. */
+    enum class BindOutcome {
+        Bound,   ///< New slot bound: answer Bound with its projection.
+        Acked,   ///< The offered projection is now the slot's.
+        Unknown, ///< New slot, unknown machine: it stays unbound.
+        Invalid, ///< Protocol violation: the connection is unusable.
+    };
+
+    /** What offer() did with one batch. */
+    struct BatchResult
+    {
+        std::uint32_t accepted = 0;
+        std::uint32_t rejected = 0; ///< Refused: shard queue full.
+        /** The machine of the first refused entry, if any. */
+        serve::MachineEntry *firstRejected = nullptr;
+    };
+
+    explicit SlotBindings(serve::FleetServer &fleet) : fleet_(fleet) {}
+
+    /**
+     * Handle a Bind: a new slot must be the next number (slots are
+     * dense), an existing one must name its machine again and have a
+     * Bound awaiting acknowledgement.
+     */
+    BindOutcome bind(const BindFrame &frame);
+
+    /** The binding of @p slot (bind() returned Bound for it). */
+    const Binding &at(std::uint32_t slot) const { return slots_[slot]; }
+
+    /**
+     * True when every entry of @p batch names a slot bound to a
+     * machine and carries as many values as that slot's projection.
+     */
+    bool admits(const SampleBatchFrame &batch) const;
+
+    /**
+     * Offer every entry of @p batch (admitted, see admits()) to the
+     * fleet in order, its values copied into the queue slot tagged
+     * with the slot's projection and stamped @p ingestNs. Appends to
+     * @p out a Bound for each slot whose machine's projection moved
+     * off the one it carries (one unacknowledged Bound per slot at a
+     * time), and a Nack(Backpressure) for each entry the fleet
+     * refused, carrying @p rejectedTotal, which counts it.
+     */
+    BatchResult offer(const SampleBatchFrame &batch,
+                      std::uint64_t ingestNs, std::uint64_t &rejectedTotal,
+                      std::vector<std::uint8_t> &out);
+
+  private:
+    serve::FleetServer &fleet_;
+    std::vector<Binding> slots_;
+};
 
 /** Ingest-server knobs. */
 struct IngestServerConfig
@@ -174,6 +271,15 @@ class ChaosIngestServer
     bool processFrames(Connection &conn);
     /** @param ingestNs Decode-time stamp (0 when tracing is off). */
     void handleSample(Connection &conn, std::uint64_t ingestNs);
+    /** @return false when the batch is not admitted (see SlotBindings). */
+    bool handleBatch(Connection &conn, std::uint64_t ingestNs);
+    /** @return false on a protocol violation. */
+    bool handleBind(Connection &conn);
+    /**
+     * Count a bad frame, send a best-effort Nack(BadSample) and close
+     * @p conn. @return false, for processFrames to return.
+     */
+    bool dropBadPeer(Connection &conn, const std::string &reason);
     /** Build and queue the Snapshot reply to an Introspect request. */
     void queueSnapshot(Connection &conn, std::uint64_t seq);
     /**

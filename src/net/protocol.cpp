@@ -133,6 +133,16 @@ openFrame(std::vector<std::uint8_t> &out, FrameType type,
 }
 
 /**
+ * The CRC of the frame whose header is at @p h: over [version, type,
+ * len] then the payload, so every byte after the magic is covered.
+ */
+std::uint32_t
+frameCrc(const std::uint8_t *h, std::size_t payloadLen)
+{
+    return crc32(h + kHeaderSize, payloadLen, crc32(h + 2, 6));
+}
+
+/**
  * Finish the frame that ends @p out: check that @p w wrote exactly
  * the @p payloadLen bytes openFrame sized, so a layout and its length
  * cannot drift apart, then compute and store the CRC.
@@ -144,11 +154,7 @@ sealFrame(std::vector<std::uint8_t> &out, const PayloadWriter &w,
     panicIf(w.p != out.data() + out.size(),
             "sealFrame: payload writes do not end where the frame ends");
     std::uint8_t *h = out.data() + out.size() - kHeaderSize - payloadLen;
-    // CRC over [version, type, len] then the payload: every byte
-    // after the magic is covered.
-    std::uint32_t crc = crc32(h + 2, 6);
-    crc = crc32(h + kHeaderSize, payloadLen, crc);
-    storeLE(h + 8, crc);
+    storeLE(h + 8, frameCrc(h, payloadLen));
     return kHeaderSize + payloadLen;
 }
 
@@ -375,7 +381,7 @@ encodeSample(std::uint64_t tick, std::string_view machineId,
             "encodeSample: machine id length out of range");
     raiseIf(rowSize > kMaxRowLen, "encodeSample: row too wide");
     const std::size_t payloadLen =
-        8 + 2 + machineId.size() + 1 + 8 + 2 + 8 * rowSize;
+        sampleFrameSize(machineId.size(), rowSize) - kHeaderSize;
     PayloadWriter w = openFrame(out, FrameType::Sample, payloadLen);
     w.put(tick);
     w.put(static_cast<std::uint16_t>(machineId.size()));
@@ -445,6 +451,101 @@ encodeSnapshot(const SnapshotFrame &frame,
     return sealFrame(out, w, payloadLen);
 }
 
+std::size_t
+encodeBind(std::uint32_t slot, std::string_view machineId,
+           std::vector<std::uint8_t> &out)
+{
+    raiseIf(machineId.empty() || machineId.size() > kMaxMachineIdLen,
+            "encodeBind: machine id length out of range");
+    raiseIf(slot >= kMaxSlots, "encodeBind: slot out of range");
+    const std::size_t payloadLen = 4 + 2 + machineId.size();
+    PayloadWriter w = openFrame(out, FrameType::Bind, payloadLen);
+    w.put(slot);
+    w.put(static_cast<std::uint16_t>(machineId.size()));
+    w.bytes(machineId.data(), machineId.size());
+    return sealFrame(out, w, payloadLen);
+}
+
+std::size_t
+encodeBound(std::uint32_t slot, const std::vector<std::size_t> &indices,
+            std::vector<std::uint8_t> &out)
+{
+    raiseIf(indices.size() > kMaxRowLen, "encodeBound: too many indices");
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+        raiseIf(indices[j] >= kMaxRowLen ||
+                    (j > 0 && indices[j] <= indices[j - 1]),
+                "encodeBound: indices not ascending below kMaxRowLen");
+    }
+    const std::size_t payloadLen = 4 + 2 + 2 * indices.size();
+    PayloadWriter w = openFrame(out, FrameType::Bound, payloadLen);
+    w.put(slot);
+    w.put(static_cast<std::uint16_t>(indices.size()));
+    for (std::size_t idx : indices)
+        w.put(static_cast<std::uint16_t>(idx));
+    return sealFrame(out, w, payloadLen);
+}
+
+void
+SampleBatchEncoder::add(std::vector<std::uint8_t> &out,
+                        std::uint32_t slot, std::uint64_t tick,
+                        bool hasMetered, double meteredW,
+                        const double *row, std::size_t rowSize,
+                        const std::size_t *indices, std::size_t count)
+{
+    raiseIf(rowSize > kMaxRowLen || count > kMaxRowLen,
+            "SampleBatchEncoder: row too wide");
+    const std::size_t entryLen = kBatchEntryHeader + 8 * count;
+    if (entries_ > 0 &&
+        out.size() - frameAt_ - kHeaderSize + entryLen > kMaxPayloadLen)
+        seal(out);
+    if (entries_ == 0) {
+        frameAt_ = out.size();
+        openFrame(out, FrameType::SampleBatch, 4);
+    }
+    const std::size_t at = out.size();
+    out.resize(at + entryLen);
+    PayloadWriter w{out.data() + at};
+    w.put(slot);
+    w.put(tick);
+    w.put(static_cast<std::uint8_t>(hasMetered ? 1 : 0));
+    w.put(meteredW);
+    w.put(static_cast<std::uint16_t>(rowSize));
+    w.put(static_cast<std::uint16_t>(count));
+    for (std::size_t j = 0; j < count; ++j) {
+        w.put(indices[j] < rowSize
+                  ? row[indices[j]]
+                  : std::numeric_limits<double>::quiet_NaN());
+    }
+    ++entries_;
+}
+
+std::size_t
+SampleBatchEncoder::seal(std::vector<std::uint8_t> &out)
+{
+    if (entries_ == 0)
+        return 0;
+    std::uint8_t *h = out.data() + frameAt_;
+    const std::size_t payloadLen = out.size() - frameAt_ - kHeaderSize;
+    storeLE(h + 4, static_cast<std::uint32_t>(payloadLen));
+    storeLE(h + kHeaderSize, entries_);
+    storeLE(h + 8, frameCrc(h, payloadLen));
+    entries_ = 0;
+    return kHeaderSize + payloadLen;
+}
+
+const std::uint8_t *
+readBatchEntry(const std::uint8_t *p, BatchEntry &entry)
+{
+    entry.slot = loadLE<std::uint32_t>(p);
+    entry.tick = loadLE<std::uint64_t>(p + 4);
+    entry.hasMetered = p[12] != 0;
+    entry.meteredW = loadLE<double>(p + 13);
+    entry.rowWidth = loadLE<std::uint16_t>(p + 21);
+    entry.valueCount = loadLE<std::uint16_t>(p + 23);
+    entry.values = p + kBatchEntryHeader;
+    return entry.values + 8 * entry.valueCount;
+}
+
 std::vector<double>
 SampleFrame::decodedRow() const
 {
@@ -484,9 +585,7 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
     if (size < kHeaderSize + payloadLen)
         return r; // NeedMore.
 
-    std::uint32_t crc = crc32(data + 2, 6);
-    crc = crc32(data + kHeaderSize, payloadLen, crc);
-    if (crc != wireCrc)
+    if (frameCrc(data, payloadLen) != wireCrc)
         return decodeError("checksum mismatch");
 
     PayloadReader pr{data + kHeaderSize, payloadLen};
@@ -549,6 +648,66 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame &out)
         pr.left = 0;
         if (!obs::jsonWellFormed(out.snapshot.json))
             return decodeError("snapshot: payload is not JSON");
+        break;
+      }
+      case FrameType::Bind: {
+        out.type = FrameType::Bind;
+        out.bind.slot = pr.get<std::uint32_t>();
+        const std::uint16_t idLen = pr.get<std::uint16_t>();
+        if (pr.bad || out.bind.slot >= kMaxSlots || idLen == 0 ||
+            idLen > kMaxMachineIdLen || pr.left != idLen)
+            return decodeError("bind: bad payload");
+        out.bind.machineId.assign(reinterpret_cast<const char *>(pr.p),
+                                  idLen);
+        pr.p += idLen;
+        pr.left = 0;
+        break;
+      }
+      case FrameType::Bound: {
+        out.type = FrameType::Bound;
+        out.bound.slot = pr.get<std::uint32_t>();
+        const std::uint16_t count = pr.get<std::uint16_t>();
+        if (pr.bad || count > kMaxRowLen ||
+            pr.left != static_cast<std::size_t>(count) * 2)
+            return decodeError("bound: bad payload size");
+        out.bound.indices.resize(count);
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t idx = pr.get<std::uint16_t>();
+            if (idx >= kMaxRowLen ||
+                (j > 0 && idx <= out.bound.indices[j - 1]))
+                return decodeError("bound: indices not ascending");
+            out.bound.indices[j] = idx;
+        }
+        break;
+      }
+      case FrameType::SampleBatch: {
+        out.type = FrameType::SampleBatch;
+        const std::uint32_t count = pr.get<std::uint32_t>();
+        if (pr.bad || count == 0 || count > pr.left / kBatchEntryHeader)
+            return decodeError("sample batch: bad entry count");
+        out.batch.count = count;
+        out.batch.entries = pr.p;
+        // Walk every entry now, so a receiver reads them unchecked.
+        BatchEntry e;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            if (!pr.take(kBatchEntryHeader))
+                return decodeError(
+                    "sample batch: entries overrun the payload");
+            readBatchEntry(pr.p, e);
+            if (pr.p[12] > 1 || e.rowWidth > kMaxRowLen ||
+                e.valueCount > kMaxRowLen)
+                return decodeError("sample batch: bad entry");
+            const std::size_t entryLen =
+                kBatchEntryHeader + 8 * e.valueCount;
+            if (!pr.take(entryLen))
+                return decodeError(
+                    "sample batch: entries overrun the payload");
+            pr.p += entryLen;
+            pr.left -= entryLen;
+        }
+        if (pr.left != 0)
+            return decodeError(
+                "sample batch: entries do not fill the payload");
         break;
       }
       default:

@@ -46,6 +46,57 @@
  *    object (fleet state, stage-latency percentiles, flight-recorder
  *    summary, ingest stats) as the payload. This is what `chaos top`
  *    renders.
+ *  - Bind (client -> server): name a *slot* — the client's own dense
+ *    per-connection number, 0, 1, 2, ... — for a machine id. The
+ *    server answers with Bound, or with a Nack(UnknownMachine) whose
+ *    rejected total does not advance (no sample was rejected) and
+ *    leaves the slot unbound. Sent again for a bound slot, it
+ *    acknowledges the server's latest Bound for that slot: every
+ *    SampleBatch entry after it carries that Bound's projection.
+ *  - Bound (server -> client): a slot's projection, the ascending
+ *    catalog indices of the counters its machine's models read. Sent
+ *    in reply to a slot's first Bind, and again (at most one
+ *    unacknowledged at a time) when the machine's projection changes.
+ *  - SampleBatch (client -> server): samples of bound slots, one entry
+ *    each, under one header and one CRC. An entry holds the slot's
+ *    counters at its acknowledged projection's indices only, NaN for
+ *    an index at or past the row's width. Before its Bound arrives a
+ *    client sends a machine's samples as Sample frames; a peer that
+ *    never binds sends only those.
+ *
+ * Payload layouts (after the header; integers little-endian):
+ *
+ *        frame        field                     size
+ *        Sample       tick                      8
+ *                     machine id length n       2 (1..256)
+ *                     machine id                n
+ *                     metered flag              1
+ *                     metered watts             8
+ *                     row width w               2 (<= 4096)
+ *                     counter row               8 w
+ *        Credit       accepted total            8
+ *                     rejected total            8
+ *                     granted                   4
+ *        Nack         rejected total            8
+ *                     reason                    1
+ *        Introspect   sequence                  8
+ *        Snapshot     sequence                  8
+ *                     JSON object               rest
+ *        Bind         slot                      4 (< kMaxSlots)
+ *                     machine id length n       2 (1..256)
+ *                     machine id                n
+ *        Bound        slot                      4
+ *                     index count k             2 (<= 4096)
+ *                     catalog indices           2 k, ascending,
+ *                                               each < 4096
+ *        SampleBatch  entry count e             4 (>= 1), then e of:
+ *                     slot                      4
+ *                     tick                      8
+ *                     metered flag              1 (0 or 1)
+ *                     metered watts             8
+ *                     row width w               2 (<= 4096)
+ *                     value count k             2 (<= 4096)
+ *                     projected values          8 k
  *
  * Encode/decode are pure functions over byte buffers — no sockets in
  * this translation unit — so the framing state machine is testable
@@ -80,6 +131,12 @@ inline constexpr std::size_t kMaxRowLen = 4096;
 /** Maximum machine-id length a sample may carry. */
 inline constexpr std::size_t kMaxMachineIdLen = 256;
 
+/** Slots one connection may bind (Bind slot numbers stay below it). */
+inline constexpr std::uint32_t kMaxSlots = 1u << 16;
+
+/** Bytes of a SampleBatch entry before its values. */
+inline constexpr std::size_t kBatchEntryHeader = 25;
+
 /** Wire frame types (byte 3 of the header). */
 enum class FrameType : std::uint8_t {
     Sample = 1,     ///< client -> server: one machine-second of telemetry.
@@ -87,6 +144,9 @@ enum class FrameType : std::uint8_t {
     Nack = 3,       ///< server -> client: a sample was rejected.
     Introspect = 4, ///< client -> server: request a live snapshot.
     Snapshot = 5,   ///< server -> client: the snapshot reply (JSON).
+    Bind = 6,       ///< client -> server: name a slot for a machine.
+    Bound = 7,      ///< server -> client: a slot's projection.
+    SampleBatch = 8, ///< client -> server: projected samples of slots.
 };
 
 /** Why a sample was rejected (Nack payload). */
@@ -150,6 +210,53 @@ struct SnapshotFrame
                            ///< both encode and decode).
 };
 
+/** Name client slot @c slot for a machine (or acknowledge a Bound). */
+struct BindFrame
+{
+    std::uint32_t slot = 0;
+    std::string machineId;
+};
+
+/** A slot's projection: the counters its batch entries carry. */
+struct BoundFrame
+{
+    std::uint32_t slot = 0;
+    std::vector<std::size_t> indices; ///< Ascending catalog indices.
+};
+
+/** One SampleBatch entry, read in place (see readBatchEntry). */
+struct BatchEntry
+{
+    std::uint32_t slot = 0;
+    std::uint64_t tick = 0;
+    bool hasMetered = false;
+    double meteredW = std::numeric_limits<double>::quiet_NaN();
+    /** Width of the catalog row the values were taken from. */
+    std::size_t rowWidth = 0;
+    /** Number of projected values. */
+    std::size_t valueCount = 0;
+    /** The values, @c valueCount little-endian doubles in place. */
+    const std::uint8_t *values = nullptr;
+};
+
+/**
+ * A decoded SampleBatch: its entries stay in the decoded buffer (for
+ * a FrameReader, valid until its next call), already checked to fit
+ * the payload exactly. Walk them with readBatchEntry.
+ */
+struct SampleBatchFrame
+{
+    std::uint32_t count = 0;                ///< Entries, at least 1.
+    const std::uint8_t *entries = nullptr; ///< The first entry.
+};
+
+/**
+ * Read the entry at @p p of a decoded SampleBatch into @p entry.
+ * @return The address of the next entry.
+ */
+const std::uint8_t *readBatchEntry(const std::uint8_t *p,
+                                   BatchEntry &entry);
+
 /** A decoded frame: @c type selects which member is meaningful. */
 struct Frame
 {
@@ -159,6 +266,9 @@ struct Frame
     NackFrame nack;
     IntrospectFrame introspect;
     SnapshotFrame snapshot;
+    BindFrame bind;
+    BoundFrame bound;
+    SampleBatchFrame batch;
 };
 
 /**
@@ -197,6 +307,13 @@ std::uint32_t crc32Clmul(const std::uint8_t *data, std::size_t size,
 
 // ---- Encoding (appends to @p out, returns bytes appended) ----------
 
+/** Bytes of a Sample frame with an @p idLen-byte id and @p rowSize counters. */
+constexpr std::size_t
+sampleFrameSize(std::size_t idLen, std::size_t rowSize)
+{
+    return kHeaderSize + 8 + 2 + idLen + 1 + 8 + 2 + 8 * rowSize;
+}
+
 /**
  * Append one binary Sample frame built straight from its fields, so
  * a sender need not assemble a SampleFrame. Raises RecoverableError
@@ -234,6 +351,51 @@ std::size_t encodeIntrospect(const IntrospectFrame &frame,
 std::size_t encodeSnapshot(const SnapshotFrame &frame,
                            std::vector<std::uint8_t> &out);
 
+/**
+ * Append one binary Bind frame naming @p slot for @p machineId.
+ * Raises RecoverableError when the machine id is empty or longer
+ * than kMaxMachineIdLen, or the slot is not below kMaxSlots.
+ */
+std::size_t encodeBind(std::uint32_t slot, std::string_view machineId,
+                       std::vector<std::uint8_t> &out);
+
+/**
+ * Append one binary Bound frame for @p slot advertising @p indices
+ * (ascending, each below kMaxRowLen; raises RecoverableError if not).
+ */
+std::size_t encodeBound(std::uint32_t slot,
+                        const std::vector<std::size_t> &indices,
+                        std::vector<std::uint8_t> &out);
+
+/**
+ * Builds SampleBatch frames in place at the end of a byte buffer.
+ * add() appends one entry to the open frame, opening one when none
+ * is; seal() stamps the open frame's length, entry count and CRC.
+ * Nothing else may be appended to the buffer while a frame is open.
+ * An entry that would take the payload past kMaxPayloadLen seals the
+ * open frame and starts the next.
+ */
+class SampleBatchEncoder
+{
+  public:
+    /**
+     * Append one entry: @p row's values at @p indices (NaN for an
+     * index at or past @p rowSize). Raises RecoverableError when the
+     * row or the index list is wider than kMaxRowLen.
+     */
+    void add(std::vector<std::uint8_t> &out, std::uint32_t slot,
+             std::uint64_t tick, bool hasMetered, double meteredW,
+             const double *row, std::size_t rowSize,
+             const std::size_t *indices, std::size_t count);
+
+    /** Seal the open frame. @return Its bytes (0 when none open). */
+    std::size_t seal(std::vector<std::uint8_t> &out);
+
+  private:
+    std::size_t frameAt_ = 0; ///< Offset of the open frame's header.
+    std::uint32_t entries_ = 0; ///< In the open frame; 0: none open.
+};
+
 // ---- Decoding ------------------------------------------------------
 
 /** What one decode attempt concluded. */
@@ -257,9 +419,12 @@ struct DecodeResult
  * valid frame, Ok (with @c consumed) on a whole one, and Error on a
  * stream that can never become valid (bad magic, unknown version or
  * type, oversized or undersized length, checksum mismatch, malformed
- * payload). @p out is only meaningful on Ok; a Sample's row is left in
- * @p data (SampleFrame::rowBytes), so decoding does not allocate or
- * copy it.
+ * payload). @p out is only meaningful on Ok; a Sample's row and a
+ * SampleBatch's entries are left in @p data (SampleFrame::rowBytes,
+ * SampleBatchFrame::entries), so decoding does not allocate or copy
+ * them. A SampleBatch is checked structurally here (entry count,
+ * widths, lengths); whether its slots are bound and its value counts
+ * match their projections is the receiver's check.
  */
 DecodeResult decodeFrame(const std::uint8_t *data, std::size_t size,
                          Frame &out);

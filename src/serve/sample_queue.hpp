@@ -15,7 +15,9 @@
  * CounterProjection (typically 6-8 of 186 counters) and stores the
  * projection pointer beside the values, so the row never crosses
  * cores whole. Rows arrive as native doubles (CounterRow) or still in
- * wire layout (CounterRowLE), gathered in place either way.
+ * wire layout (CounterRowLE), gathered in place either way; a wire
+ * SampleBatch entry arrives already projected (ProjectedRowLE) and
+ * is copied as is.
  *
  * Value buffers are owned by the queue and recycled, never freed on
  * the hot path: popBatch() *swaps* slot buffers with the consumer's
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,6 +74,19 @@ struct CounterRowLE
     {
         return loadLE<double>(bytes + sizeof(double) * i);
     }
+};
+
+/**
+ * Values a producer already gathered at a projection's indices, in
+ * wire layout (a SampleBatch entry's values): one little-endian
+ * double per projected counter, NaN where the row was too short. The
+ * count is the projection's size; @c rowSize is the width of the row
+ * they came from.
+ */
+struct ProjectedRowLE
+{
+    const std::uint8_t *bytes = nullptr;
+    std::size_t rowSize = 0;
 };
 
 /** One enqueued machine-second of telemetry. */
@@ -126,7 +142,8 @@ class BoundedSampleQueue
      * make room (drop-oldest policy). The producer keeps (and can
      * reuse) its own row storage.
      *
-     * @param row A CounterRow or CounterRowLE.
+     * @param row A CounterRow, CounterRowLE or ProjectedRowLE (the
+     *        last already at @p projection's indices).
      * @return The registry entry of the machine whose sample was
      *         dropped by this push, or nullptr when nothing was
      *         dropped. The victim is the evicted (oldest) sample's
@@ -240,14 +257,21 @@ class BoundedSampleQueue
             slot.values.swap(spare[--spareTop]);
         const std::vector<std::size_t> &indices = projection.indices();
         slot.values.resize(indices.size());
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-            slot.values[j] = indices[j] < row.size
-                                 ? row[indices[j]]
-                                 : std::numeric_limits<double>::quiet_NaN();
+        if constexpr (std::is_same_v<Row, ProjectedRowLE>) {
+            for (std::size_t j = 0; j < indices.size(); ++j)
+                slot.values[j] = loadLE<double>(row.bytes + 8 * j);
+            slot.rowSize = row.rowSize;
+        } else {
+            for (std::size_t j = 0; j < indices.size(); ++j) {
+                slot.values[j] =
+                    indices[j] < row.size
+                        ? row[indices[j]]
+                        : std::numeric_limits<double>::quiet_NaN();
+            }
+            slot.rowSize = row.size;
         }
         slot.entry = entry;
         slot.projection = &projection;
-        slot.rowSize = row.size;
         slot.meteredW = meteredW;
         slot.ingestNs = ingestNs;
     }

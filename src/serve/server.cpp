@@ -178,7 +178,8 @@ FleetServer::submit(const std::string &machineId,
 
 template <typename Row>
 bool
-FleetServer::offerRow(MachineEntry &entry, const Row &row,
+FleetServer::offerRow(MachineEntry &entry,
+                      const CounterProjection &projection, const Row &row,
                       double meteredW, std::uint64_t ingestNs)
 {
     QueueShard &shard = *queueShards[entry.shard()];
@@ -188,7 +189,7 @@ FleetServer::offerRow(MachineEntry &entry, const Row &row,
     // processed + dropped invariant holds at every instant; undo on
     // refusal (the transient overcount only makes waitIdle wait).
     submittedCount.fetch_add(1);
-    if (!shard.queue.tryPush(&entry, entry.projection(), row, meteredW,
+    if (!shard.queue.tryPush(&entry, projection, row, meteredW,
                              ingestNs)) {
         submittedCount.fetch_sub(1);
         return false;
@@ -202,15 +203,24 @@ FleetServer::offer(MachineEntry &entry, const double *catalogRow,
                    std::size_t rowSize, double meteredW,
                    std::uint64_t ingestNs)
 {
-    return offerRow(entry, CounterRow{catalogRow, rowSize}, meteredW,
-                    ingestNs);
+    return offerRow(entry, entry.projection(),
+                    CounterRow{catalogRow, rowSize}, meteredW, ingestNs);
 }
 
 bool
 FleetServer::offer(MachineEntry &entry, const CounterRowLE &row,
                    double meteredW, std::uint64_t ingestNs)
 {
-    return offerRow(entry, row, meteredW, ingestNs);
+    return offerRow(entry, entry.projection(), row, meteredW, ingestNs);
+}
+
+bool
+FleetServer::offer(MachineEntry &entry,
+                   const CounterProjection &projection,
+                   const ProjectedRowLE &values, double meteredW,
+                   std::uint64_t ingestNs)
+{
+    return offerRow(entry, projection, values, meteredW, ingestNs);
 }
 
 void

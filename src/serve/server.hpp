@@ -252,6 +252,18 @@ class FleetServer
     bool offer(MachineEntry &entry, const CounterRowLE &row,
                double meteredW, std::uint64_t ingestNs);
 
+    /**
+     * offer() for values a producer already gathered at @p projection
+     * (a wire SampleBatch entry): copied straight into the slot and
+     * tagged with @p projection, which may lag the machine's current
+     * one (the drain then counts a projection miss, as for a sample
+     * gathered before a widening). @p projection must come from this
+     * server's registry, and @p values hold its size() values.
+     */
+    bool offer(MachineEntry &entry, const CounterProjection &projection,
+               const ProjectedRowLE &values, double meteredW,
+               std::uint64_t ingestNs);
+
     /** submit() without the registry lookup (entry from machine()). */
     void submitTo(MachineEntry &entry, const double *catalogRow,
                   std::size_t rowSize,
@@ -366,10 +378,10 @@ class FleetServer
     void drainerLoop();
     void emitPeriodicSnapshot();
 
-    /** Both offer() overloads: gather @p row, enqueue if room. */
+    /** Every offer() overload: gather @p row, enqueue if room. */
     template <typename Row>
-    bool offerRow(MachineEntry &entry, const Row &row, double meteredW,
-                  std::uint64_t ingestNs);
+    bool offerRow(MachineEntry &entry, const CounterProjection &projection,
+                  const Row &row, double meteredW, std::uint64_t ingestNs);
 
     FleetServerConfig cfg;
     EstimatorRegistry registry;

@@ -3,13 +3,18 @@
  * Loopback integration tests for the ingest server: end-to-end
  * accounting (sent == accepted + rejected, accepted == processed),
  * explicit backpressure NACKs with per-connection attribution,
- * corrupt-stream connection drops that leave the server serving, and
- * the multi-client soak whose snapshot
- * must be bit-identical to an in-process replay of the same samples.
+ * corrupt-stream connection drops that leave the server serving, the
+ * multi-client soak whose snapshot must be bit-identical to an
+ * in-process replay of the same samples, and slot binding: projected
+ * SampleBatch estimates bitwise equal to in-process and serial
+ * replays across projection changes, and slot violations that close
+ * the connection.
  */
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <poll.h>
 #include <thread>
 #include <unistd.h>
 
@@ -31,6 +36,9 @@ namespace {
 
 using serve_testing::catalogRow;
 using serve_testing::makeTestModel;
+using serve_testing::modelOver;
+using serve_testing::randomRow;
+using serve_testing::Recorder;
 
 /** A fleet of @p machines machine0..N-1 sharing one test model. */
 std::unique_ptr<serve::FleetServer>
@@ -520,6 +528,344 @@ TEST(Ingest, ClientSeesCreditsBeforeItsWindowFills)
     ASSERT_TRUE(client.drain());
     EXPECT_EQ(client.accepted(), belowHalf + 1);
     ingest.stop();
+}
+
+std::uint64_t
+projectionMisses()
+{
+    return obs::Registry::instance()
+        .counter("chaos.serve.projection_misses",
+                 obs::Stability::Scheduling)
+        .value();
+}
+
+TEST(Ingest, BoundConnectionMatchesInProcessAndSerialBitwise)
+{
+    // Three machines on one binding connection, replayed in process
+    // and through serial estimators. Mid-stream, m0's model is swapped
+    // for one that reads kC too, m1 gets a quarantine substitute
+    // reading kE and kF, and m2 a shadow candidate reading kC: each
+    // widens the machine's projection. The client reads its acks only
+    // in drain(), so the projection each sample was encoded under is
+    // known: those encoded after the change but before the fresh Bound
+    // carry the old projection and are exactly the projection misses;
+    // m0's deployed model reads their kC as missing.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr std::size_t kA = 3, kB = 7, kC = 12, kD = 20, kE = 30,
+                          kF = 40, kG = 5;
+    const std::vector<MachinePowerModel> models = {
+        modelOver({kA, kB}, 1), modelOver({kB, kD}, 2),
+        modelOver({kG, kE}, 3)};
+    const MachinePowerModel wide = modelOver({kA, kC, kB}, 4);
+    const auto substitute =
+        std::make_shared<const MachinePowerModel>(modelOver({kE, kF}, 5));
+    const MachinePowerModel candidate = modelOver({kG, kC}, 6);
+
+    serve::FleetServer wireFleet, localFleet;
+    std::vector<serve::MachineEntry *> wireEntries, localEntries;
+    std::vector<OnlinePowerEstimator> serialWire, serialLocal;
+    std::vector<std::string> ids;
+    std::vector<std::vector<std::size_t>> before;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        ids.push_back("m" + std::to_string(m));
+        wireEntries.push_back(&wireFleet.addMachine(ids[m], models[m]));
+        localEntries.push_back(&localFleet.addMachine(ids[m], models[m]));
+        serialWire.emplace_back(models[m]);
+        serialLocal.emplace_back(models[m]);
+        before.push_back(wireEntries[m]->projection().indices());
+    }
+    Recorder wireRec, localRec;
+    wireFleet.setSampleObserver(&wireRec);
+    localFleet.setSampleObserver(&localRec);
+    ChaosIngestServer ingest(wireFleet);
+    ingest.start();
+    wireFleet.start();
+
+    IngestClientConfig cfg;
+    cfg.port = ingest.port();
+    cfg.window = 64;       // Never full between the drains below,
+    cfg.coalesceBytes = 0; // so acks are read only in drain().
+    IngestClient client(cfg);
+    client.connect();
+
+    Rng rng(101);
+    std::vector<std::vector<double>> expectWire(models.size()),
+        expectLocal(models.size());
+    std::vector<std::vector<bool>> missed(models.size());
+    std::size_t old[3] = {0, 0, 0};
+    std::uint64_t shadowScored = 0, shadowMetered = 0;
+    bool changed = false;
+    const auto sendTick = [&](std::uint64_t t) {
+        for (std::size_t m = 0; m < models.size(); ++m) {
+            std::vector<double> row = randomRow(rng);
+            // The shadow's machine stays clean once it shadows.
+            const bool clean = changed && m == 2;
+            switch (clean ? 0 : (t + m) % 9) {
+              case 1: row[kB] = kNaN; row[kG] = kNaN; break;
+              case 2: row[kA] = -5.0; row[kE] = -1.0; break;
+              case 3: row[kD] = 1e300; break; // Past the catalog's bound.
+              case 4: row.resize(kD); break;  // Drops kD, kE, kF.
+              case 5: row.resize(kB); break;  // Keeps only kA, kG.
+              case 6: row.clear(); break;
+              default: break;
+            }
+            const double metered =
+                t % 3 == 0 ? kNaN : 30.0 + static_cast<double>(t % 11);
+            const std::vector<std::size_t> *sentAt =
+                client.projectionOf(ids[m]);
+            const bool miss = changed && sentAt != nullptr &&
+                              *sentAt == before[m];
+            old[m] += miss ? 1 : 0;
+            missed[m].push_back(miss);
+            client.send(t, ids[m], row.data(), row.size(), metered);
+            localFleet.submitTo(*localEntries[m], row, metered);
+
+            expectLocal[m].push_back(
+                serialLocal[m].estimateWithReference(row, metered));
+            std::vector<double> seen = row;
+            if (miss && m == 0 && kC < seen.size())
+                seen[kC] = kNaN; // Not carried: a missing input.
+            expectWire[m].push_back(
+                serialWire[m].estimateWithReference(seen, metered));
+            if (changed && m == 2 && std::isfinite(metered)) {
+                ++shadowMetered;
+                shadowScored += miss ? 0 : 1;
+            }
+        }
+    };
+    const auto settle = [&] {
+        ASSERT_TRUE(client.drain());
+        wireFleet.waitIdle();
+        while (localFleet.drainOnce() > 0) {
+        }
+    };
+
+    for (std::uint64_t t = 0; t < 60; ++t) {
+        sendTick(t);
+        if (t % 2 == 1) {
+            ASSERT_TRUE(client.drain());
+        }
+        if (t == 20) {
+            // An unknown machine's Bind is refused without closing.
+            const std::vector<double> row = randomRow(rng);
+            client.send(t, "no-such-machine", row.data(), row.size());
+            client.send(t + 1, "no-such-machine", row.data(), row.size());
+        }
+    }
+    settle();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        ASSERT_NE(client.projectionOf(ids[m]), nullptr) << ids[m];
+        EXPECT_EQ(*client.projectionOf(ids[m]), before[m]);
+    }
+
+    const std::uint64_t missesBefore = projectionMisses();
+    for (serve::FleetServer *fleet : {&wireFleet, &localFleet}) {
+        fleet->swapModel("m0", wide);
+        fleet->machine("m1")->engageQuarantine(substitute);
+        fleet->machine("m2")->beginShadow(candidate);
+    }
+    serialWire[0].swapModel(wide);
+    serialLocal[0].swapModel(wide);
+    changed = true;
+    for (std::uint64_t t = 60; t < 160; ++t) {
+        sendTick(t);
+        if (t % 2 == 1) {
+            ASSERT_TRUE(client.drain());
+        }
+    }
+    settle();
+    const std::uint64_t misses = projectionMisses() - missesBefore;
+    ingest.stop();
+    wireFleet.stop();
+    wireFleet.setSampleObserver(nullptr);
+    localFleet.setSampleObserver(nullptr);
+
+    // Exactly the samples encoded under the old projection missed.
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        EXPECT_GE(old[m], 1u) << ids[m];
+        ASSERT_NE(client.projectionOf(ids[m]), nullptr);
+        EXPECT_EQ(*client.projectionOf(ids[m]),
+                  wireEntries[m]->projection().indices());
+        EXPECT_NE(*client.projectionOf(ids[m]), before[m]);
+    }
+    EXPECT_EQ(misses, old[0] + old[1] + old[2]);
+
+    const std::size_t perMachine = 160;
+    EXPECT_EQ(client.accepted(), perMachine * models.size());
+    EXPECT_EQ(client.rejected(), 2u);
+    EXPECT_EQ(client.nacks(NackReason::UnknownMachine), 2u);
+    const IngestStats stats = ingest.stats();
+    ASSERT_EQ(stats.connections.size(), 1u);
+    EXPECT_EQ(stats.connections[0].rejectedUnknown, 2u);
+    EXPECT_EQ(stats.badFrames, 0u);
+    EXPECT_EQ(stats.connections[0].closeReason, "server stopped");
+
+    ASSERT_EQ(wireRec.watts.size(), models.size());
+    ASSERT_EQ(localRec.watts.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        ASSERT_EQ(wireRec.watts[m].size(), perMachine);
+        ASSERT_EQ(localRec.watts[m].size(), perMachine);
+        for (std::size_t k = 0; k < perMachine; ++k) {
+            ASSERT_EQ(wireRec.watts[m][k], expectWire[m][k])
+                << ids[m] << " sample " << k;
+            ASSERT_EQ(localRec.watts[m][k], expectLocal[m][k])
+                << ids[m] << " sample " << k;
+            if (!(m == 0 && missed[m][k])) {
+                ASSERT_EQ(std::memcmp(&wireRec.watts[m][k],
+                                      &localRec.watts[m][k],
+                                      sizeof(double)),
+                          0)
+                    << ids[m] << " sample " << k;
+            }
+        }
+    }
+    // The shadow scores every metered sample that carried its counters.
+    EXPECT_EQ(wireEntries[2]->shadowReport().refSamples, shadowScored);
+    EXPECT_EQ(localEntries[2]->shadowReport().refSamples, shadowMetered);
+}
+
+/** What a raw peer saw: the frames the server sent, and a close. */
+struct PeerLog
+{
+    std::vector<Frame> frames;
+    bool closed = false;
+};
+
+/**
+ * Write @p wire to a fresh connection to @p port, then collect the
+ * server's frames until it closes or @p quietMs pass without any.
+ */
+PeerLog
+exchange(std::uint16_t port, const std::vector<std::uint8_t> &wire,
+         int quietMs = 300)
+{
+    PeerLog log;
+    OwnedFd raw = connectTcp("127.0.0.1", port);
+    std::size_t off = 0;
+    while (off < wire.size()) {
+        const ssize_t n =
+            ::write(raw.fd(), wire.data() + off, wire.size() - off);
+        if (n <= 0)
+            return log;
+        off += static_cast<std::size_t>(n);
+    }
+    FrameReader reader;
+    Frame frame;
+    while (true) {
+        pollfd pfd{raw.fd(), POLLIN, 0};
+        if (::poll(&pfd, 1, quietMs) <= 0)
+            return log;
+        std::uint8_t buf[4096];
+        const ssize_t n = ::read(raw.fd(), buf, sizeof(buf));
+        if (n <= 0) {
+            log.closed = true;
+            return log;
+        }
+        reader.append(buf, static_cast<std::size_t>(n));
+        while (reader.next(frame) == DecodeStatus::Ok)
+            log.frames.push_back(frame);
+    }
+}
+
+TEST(Ingest, SlotViolationsCloseTheConnectionAfterABadSampleNack)
+{
+    auto fleet = makeFleet(1);
+    ChaosIngestServer ingest(*fleet);
+    ingest.start();
+    const std::vector<std::size_t> projection =
+        fleet->machine("machine0")->projection().indices();
+    ASSERT_EQ(projection.size(), 2u);
+
+    const auto bind = [](std::uint32_t slot, const std::string &id,
+                         std::vector<std::uint8_t> &wire) {
+        encodeBind(slot, id, wire);
+    };
+    const std::vector<double> row = catalogRow(10.0, 20.0);
+    const auto entry = [&](std::uint32_t slot, std::size_t values,
+                           SampleBatchEncoder &batch,
+                           std::vector<std::uint8_t> &wire) {
+        std::vector<std::size_t> indices = projection;
+        indices.resize(values, projection.back());
+        batch.add(wire, slot, 0, false, 0.0, row.data(), row.size(),
+                  indices.data(), indices.size());
+    };
+    const auto expectDropped = [](const PeerLog &log, const char *what) {
+        EXPECT_TRUE(log.closed) << what;
+        ASSERT_FALSE(log.frames.empty()) << what;
+        EXPECT_EQ(log.frames.back().type, FrameType::Nack) << what;
+        EXPECT_EQ(log.frames.back().nack.reason, NackReason::BadSample)
+            << what;
+    };
+
+    // An unknown machine's Bind: a Nack that rejects no sample, and
+    // the connection stays open for the next slot.
+    std::vector<std::uint8_t> wire;
+    bind(0, "no-such-machine", wire);
+    bind(1, "machine0", wire);
+    PeerLog log = exchange(ingest.port(), wire);
+    EXPECT_FALSE(log.closed);
+    ASSERT_EQ(log.frames.size(), 2u);
+    EXPECT_EQ(log.frames[0].type, FrameType::Nack);
+    EXPECT_EQ(log.frames[0].nack.reason, NackReason::UnknownMachine);
+    EXPECT_EQ(log.frames[0].nack.rejectedTotal, 0u);
+    ASSERT_EQ(log.frames[1].type, FrameType::Bound);
+    EXPECT_EQ(log.frames[1].bound.slot, 1u);
+    EXPECT_EQ(log.frames[1].bound.indices, projection);
+
+    // A batch naming an unbound slot after a valid entry: the whole
+    // frame is refused, so not even the valid entry is queued.
+    wire.clear();
+    bind(0, "machine0", wire);
+    SampleBatchEncoder batch;
+    entry(0, 2, batch, wire);
+    entry(1, 2, batch, wire);
+    batch.seal(wire);
+    log = exchange(ingest.port(), wire);
+    expectDropped(log, "unbound slot");
+    EXPECT_EQ(log.frames.front().type, FrameType::Bound);
+    EXPECT_EQ(fleet->submitted(), 0u);
+
+    // A slot whose Bind named an unknown machine is unbound too.
+    wire.clear();
+    bind(0, "no-such-machine", wire);
+    entry(0, 2, batch, wire);
+    batch.seal(wire);
+    expectDropped(exchange(ingest.port(), wire), "unknown machine's slot");
+
+    // A value count other than the bound projection's size.
+    wire.clear();
+    bind(0, "machine0", wire);
+    entry(0, 3, batch, wire);
+    batch.seal(wire);
+    expectDropped(exchange(ingest.port(), wire), "value count");
+
+    // A Bind that skips a slot number, and one that acknowledges a
+    // Bound the server never sent.
+    wire.clear();
+    bind(1, "machine0", wire);
+    expectDropped(exchange(ingest.port(), wire), "slot out of sequence");
+    wire.clear();
+    bind(0, "machine0", wire);
+    bind(0, "machine0", wire);
+    expectDropped(exchange(ingest.port(), wire), "stray acknowledgement");
+
+    // A well-formed batch on a bound slot is accepted.
+    wire.clear();
+    bind(0, "machine0", wire);
+    entry(0, 2, batch, wire);
+    batch.seal(wire);
+    log = exchange(ingest.port(), wire);
+    EXPECT_FALSE(log.closed);
+    ASSERT_EQ(log.frames.size(), 2u);
+    EXPECT_EQ(log.frames[1].type, FrameType::Credit);
+    EXPECT_EQ(log.frames[1].credit.acceptedTotal, 1u);
+
+    ingest.stop();
+    const IngestStats stats = ingest.stats();
+    EXPECT_EQ(stats.badFrames, 5u);
+    EXPECT_EQ(stats.connectionsDropped, 5u);
+    EXPECT_EQ(stats.samplesAccepted, 1u);
+    EXPECT_EQ(fleet->submitted(), 1u);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 
 #include "../support/raises.hpp"
 #include "net/protocol.hpp"
+#include "util/endian.hpp"
 #include "util/random.hpp"
 #include "util/result.hpp"
 
@@ -666,6 +667,333 @@ TEST(Protocol, SnapshotDecodeRejectsNonJsonPayload)
     ASSERT_EQ(res.status, DecodeStatus::Error);
     EXPECT_NE(res.error.find("not JSON"), std::string::npos)
         << res.error;
+}
+
+// ---- Bind, Bound and SampleBatch --------------------------------------
+
+/** A random Bind, Bound or SampleBatch frame appended to @p wire. */
+void
+encodeRandomSlotFrame(Rng &rng, std::vector<std::uint8_t> &wire)
+{
+    switch (rng.uniformInt(3)) {
+    case 0: {
+        encodeBind(static_cast<std::uint32_t>(rng.uniformInt(kMaxSlots)),
+                   "machine" + std::to_string(rng.uniformInt(10000)), wire);
+        break;
+    }
+    case 1: {
+        std::vector<std::size_t> indices;
+        for (std::size_t idx = rng.uniformInt(4); idx < 200;
+             idx += 1 + rng.uniformInt(40))
+            indices.push_back(idx);
+        encodeBound(static_cast<std::uint32_t>(rng.uniformInt(64)),
+                    indices, wire);
+        break;
+    }
+    default: {
+        SampleBatchEncoder batch;
+        const std::size_t entries = 1 + rng.uniformInt(6);
+        for (std::size_t e = 0; e < entries; ++e) {
+            const SampleFrame s = makeSample(rng, rng.uniformInt(190));
+            std::vector<std::size_t> indices;
+            for (std::size_t idx = rng.uniformInt(3); idx < 190;
+                 idx += 1 + rng.uniformInt(50))
+                indices.push_back(idx);
+            batch.add(wire, static_cast<std::uint32_t>(rng.uniformInt(64)),
+                      s.tick, s.hasMetered, s.meteredW, s.row.data(),
+                      s.row.size(), indices.data(), indices.size());
+        }
+        batch.seal(wire);
+        break;
+    }
+    }
+}
+
+/** Re-stamp the CRC of the one frame in @p wire after an edit. */
+void
+restampCrc(std::vector<std::uint8_t> &wire)
+{
+    const std::size_t payloadLen = wire.size() - kHeaderSize;
+    wire[4] = static_cast<std::uint8_t>(payloadLen);
+    wire[5] = static_cast<std::uint8_t>(payloadLen >> 8);
+    wire[6] = static_cast<std::uint8_t>(payloadLen >> 16);
+    wire[7] = static_cast<std::uint8_t>(payloadLen >> 24);
+    std::uint32_t crc = crc32(wire.data() + 2, 6);
+    crc = crc32(wire.data() + kHeaderSize, payloadLen, crc);
+    for (int i = 0; i < 4; ++i)
+        wire[8 + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(crc >> (8 * i));
+}
+
+/** The Bind, Bound and two-entry SampleBatch the golden test pins. */
+std::vector<std::uint8_t>
+goldenSlotFrames()
+{
+    std::vector<std::uint8_t> wire;
+    encodeBind(3, "rack0-m07", wire);
+    encodeBound(3, {2, 5, 190}, wire);
+
+    std::vector<double> wide(186);
+    for (std::size_t i = 0; i < wide.size(); ++i)
+        wide[i] = 0.5 * static_cast<double>(i);
+    const std::vector<double> narrow = {
+        -1.5, -0.0, fromBits(0x7FF80000DEADBEEFull), 3.0};
+    const std::vector<std::size_t> three = {2, 5, 190};
+    const std::vector<std::size_t> two = {1, 2};
+    SampleBatchEncoder batch;
+    batch.add(wire, 3, 0x0102030405060708ull, true, 187.25, wide.data(),
+              wide.size(), three.data(), three.size());
+    batch.add(wire, 0, 9, false, std::numeric_limits<double>::quiet_NaN(),
+              narrow.data(), narrow.size(), two.data(), two.size());
+    batch.seal(wire);
+    return wire;
+}
+
+TEST(Protocol, SlotFramesGoldenBytes)
+{
+    // Bind{3, "rack0-m07"}, Bound{3, [2, 5, 190]}, and a SampleBatch of
+    // two entries: slot 3, metered, a 186-wide row at [2, 5, 190]
+    // (190 is past the row: NaN), and slot 0, unmetered, a 4-wide row
+    // at [1, 2] (-0.0 and a NaN payload, bit for bit).
+    EXPECT_EQ(toHex(goldenSlotFrames()),
+              "435701060f0000008fffa6bd0300000009007261636b302d6d3037"
+              "435701070c00000033d1b8f603000000030002000500be00"
+              "435701085e000000da60ba5c0200000003000000080706050403020101000000"
+              "0000686740ba000300000000000000f03f0000000000000440000000000000f8"
+              "7f00000000090000000000000000000000000000f87f04000200000000000000"
+              "0080efbeadde0000f87f");
+}
+
+TEST(Protocol, SlotFramesRoundTrip)
+{
+    const std::vector<std::uint8_t> wire = goldenSlotFrames();
+    Frame out;
+    std::size_t at = 0;
+
+    DecodeResult res = decodeFrame(wire.data(), wire.size(), out);
+    ASSERT_EQ(res.status, DecodeStatus::Ok) << res.error;
+    ASSERT_EQ(out.type, FrameType::Bind);
+    EXPECT_EQ(out.bind.slot, 3u);
+    EXPECT_EQ(out.bind.machineId, "rack0-m07");
+    at += res.consumed;
+
+    res = decodeFrame(wire.data() + at, wire.size() - at, out);
+    ASSERT_EQ(res.status, DecodeStatus::Ok) << res.error;
+    ASSERT_EQ(out.type, FrameType::Bound);
+    EXPECT_EQ(out.bound.slot, 3u);
+    EXPECT_EQ(out.bound.indices, (std::vector<std::size_t>{2, 5, 190}));
+    at += res.consumed;
+
+    res = decodeFrame(wire.data() + at, wire.size() - at, out);
+    ASSERT_EQ(res.status, DecodeStatus::Ok) << res.error;
+    EXPECT_EQ(at + res.consumed, wire.size());
+    ASSERT_EQ(out.type, FrameType::SampleBatch);
+    ASSERT_EQ(out.batch.count, 2u);
+    BatchEntry e;
+    const std::uint8_t *p = readBatchEntry(out.batch.entries, e);
+    EXPECT_EQ(e.slot, 3u);
+    EXPECT_EQ(e.tick, 0x0102030405060708ull);
+    EXPECT_TRUE(e.hasMetered);
+    EXPECT_EQ(e.meteredW, 187.25);
+    EXPECT_EQ(e.rowWidth, 186u);
+    ASSERT_EQ(e.valueCount, 3u);
+    EXPECT_EQ(loadLE<double>(e.values), 1.0);
+    EXPECT_EQ(loadLE<double>(e.values + 8), 2.5);
+    EXPECT_TRUE(std::isnan(loadLE<double>(e.values + 16)));
+    p = readBatchEntry(p, e);
+    EXPECT_EQ(p, wire.data() + wire.size());
+    EXPECT_EQ(e.slot, 0u);
+    EXPECT_EQ(e.tick, 9u);
+    EXPECT_FALSE(e.hasMetered);
+    EXPECT_EQ(e.rowWidth, 4u);
+    ASSERT_EQ(e.valueCount, 2u);
+    EXPECT_EQ(bits(loadLE<double>(e.values)), bits(-0.0));
+    EXPECT_EQ(bits(loadLE<double>(e.values + 8)), 0x7FF80000DEADBEEFull);
+}
+
+TEST(Protocol, SlotFramesEveryTruncationNeedsMore)
+{
+    const std::vector<std::uint8_t> wire = goldenSlotFrames();
+    Frame out;
+    std::size_t at = 0;
+    int frames = 0;
+    while (at < wire.size()) {
+        const DecodeResult whole =
+            decodeFrame(wire.data() + at, wire.size() - at, out);
+        ASSERT_EQ(whole.status, DecodeStatus::Ok) << whole.error;
+        for (std::size_t prefix = 0; prefix < whole.consumed; ++prefix) {
+            EXPECT_EQ(decodeFrame(wire.data() + at, prefix, out).status,
+                      DecodeStatus::NeedMore)
+                << "frame " << frames << " prefix " << prefix;
+        }
+        at += whole.consumed;
+        ++frames;
+    }
+    EXPECT_EQ(frames, 3);
+}
+
+TEST(Protocol, SlotFramesSingleByteFragmentationDecodesAll)
+{
+    Rng rng(43);
+    std::vector<std::uint8_t> wire;
+    std::vector<std::size_t> frameEnds;
+    for (int i = 0; i < 60; ++i) {
+        encodeRandomSlotFrame(rng, wire);
+        frameEnds.push_back(wire.size());
+    }
+    // Whole-buffer decode is the reference for the fragmented one.
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::size_t i = 0, at = 0; i < frameEnds.size(); ++i) {
+        frames.emplace_back(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                            wire.begin() +
+                                static_cast<std::ptrdiff_t>(frameEnds[i]));
+        at = frameEnds[i];
+    }
+
+    FrameReader reader;
+    Frame frame, whole;
+    std::size_t decoded = 0;
+    for (std::uint8_t byte : wire) {
+        reader.append(&byte, 1);
+        while (reader.next(frame) == DecodeStatus::Ok) {
+            ASSERT_LT(decoded, frames.size());
+            const std::vector<std::uint8_t> &ref = frames[decoded];
+            ASSERT_EQ(decodeFrame(ref.data(), ref.size(), whole).status,
+                      DecodeStatus::Ok);
+            ASSERT_EQ(frame.type, whole.type);
+            if (frame.type == FrameType::Bind) {
+                EXPECT_EQ(frame.bind.slot, whole.bind.slot);
+                EXPECT_EQ(frame.bind.machineId, whole.bind.machineId);
+            } else if (frame.type == FrameType::Bound) {
+                EXPECT_EQ(frame.bound.slot, whole.bound.slot);
+                EXPECT_EQ(frame.bound.indices, whole.bound.indices);
+            } else {
+                ASSERT_EQ(frame.type, FrameType::SampleBatch);
+                ASSERT_EQ(frame.batch.count, whole.batch.count);
+                // Entries in place: compare their bytes.
+                const std::size_t len =
+                    ref.size() - static_cast<std::size_t>(
+                                     whole.batch.entries - ref.data());
+                EXPECT_EQ(std::memcmp(frame.batch.entries,
+                                      whole.batch.entries, len),
+                          0);
+            }
+            ++decoded;
+        }
+        ASSERT_TRUE(reader.error().empty()) << reader.error();
+    }
+    EXPECT_EQ(decoded, frames.size());
+    EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(Protocol, FuzzMutatedSlotFramesNeverAccepted)
+{
+    Rng rng(47);
+    std::vector<std::uint8_t> wire;
+    Frame out;
+    int mutations = 0;
+    while (mutations < 12000) {
+        wire.clear();
+        encodeRandomSlotFrame(rng, wire);
+        for (int m = 0; m < 8; ++m, ++mutations) {
+            std::vector<std::uint8_t> corrupt = wire;
+            const std::size_t pos = rng.uniformInt(corrupt.size());
+            const std::uint8_t delta =
+                static_cast<std::uint8_t>(1 + rng.uniformInt(255));
+            corrupt[pos] = static_cast<std::uint8_t>(corrupt[pos] ^ delta);
+            const DecodeResult res =
+                decodeFrame(corrupt.data(), corrupt.size(), out);
+            EXPECT_NE(res.status, DecodeStatus::Ok)
+                << "mutation at byte " << pos << " of " << corrupt.size()
+                << " xor " << static_cast<int>(delta) << " was accepted";
+        }
+    }
+}
+
+TEST(Protocol, SampleBatchStructuralRejects)
+{
+    const std::vector<double> row(8, 1.0);
+    const std::vector<std::size_t> indices = {1, 3};
+    const auto oneEntry = [&] {
+        std::vector<std::uint8_t> wire;
+        SampleBatchEncoder batch;
+        batch.add(wire, 0, 1, true, 5.0, row.data(), row.size(),
+                  indices.data(), indices.size());
+        batch.seal(wire);
+        return wire;
+    };
+    const auto rejects = [](std::vector<std::uint8_t> wire,
+                            const char *what) {
+        restampCrc(wire);
+        Frame out;
+        const DecodeResult res = decodeFrame(wire.data(), wire.size(), out);
+        EXPECT_EQ(res.status, DecodeStatus::Error) << what;
+        EXPECT_NE(res.error.find("sample batch"), std::string::npos)
+            << what << ": " << res.error;
+    };
+    const std::size_t payload = kHeaderSize;
+    const std::size_t entry = payload + 4;
+
+    std::vector<std::uint8_t> wire = oneEntry();
+    wire[payload] = 2; // Claims two entries, holds one.
+    rejects(wire, "count above the entries");
+    wire = oneEntry();
+    wire[payload] = 0;
+    rejects(wire, "zero entries");
+    wire = oneEntry();
+    wire.push_back(0); // A stray byte after the last entry.
+    rejects(wire, "payload longer than its entries");
+    wire = oneEntry();
+    const std::vector<std::uint8_t> first(
+        wire.begin() + static_cast<std::ptrdiff_t>(entry), wire.end());
+    wire.insert(wire.end(), first.begin(), first.end());
+    rejects(wire, "count below the entries");
+    wire = oneEntry();
+    storeLE(wire.data() + entry + 21,
+            static_cast<std::uint16_t>(kMaxRowLen + 1));
+    rejects(wire, "row width over kMaxRowLen");
+    wire = oneEntry();
+    storeLE(wire.data() + entry + 23,
+            static_cast<std::uint16_t>(kMaxRowLen + 1));
+    rejects(wire, "value count over kMaxRowLen");
+    wire = oneEntry();
+    storeLE(wire.data() + entry + 23, static_cast<std::uint16_t>(3));
+    rejects(wire, "values overrun the payload");
+    wire = oneEntry();
+    wire[entry + 12] = 2;
+    rejects(wire, "metered flag neither 0 nor 1");
+
+    // The encoder refuses what the decoder would.
+    std::vector<std::uint8_t> sink;
+    SampleBatchEncoder batch;
+    const std::vector<double> wide(kMaxRowLen + 1, 0.0);
+    EXPECT_THROW(batch.add(sink, 0, 0, false, 0.0, wide.data(), wide.size(),
+                           indices.data(), indices.size()),
+                 RecoverableError);
+}
+
+TEST(Protocol, BindAndBoundRejects)
+{
+    Frame out;
+    std::vector<std::uint8_t> wire;
+    EXPECT_THROW(encodeBind(kMaxSlots, "m0", wire), RecoverableError);
+    EXPECT_THROW(encodeBind(0, "", wire), RecoverableError);
+    EXPECT_THROW(encodeBound(0, {5, 5}, wire), RecoverableError);
+    EXPECT_THROW(encodeBound(0, {kMaxRowLen}, wire), RecoverableError);
+    ASSERT_TRUE(wire.empty());
+
+    encodeBind(0, "m0", wire);
+    storeLE(wire.data() + kHeaderSize, kMaxSlots); // Slot out of range.
+    restampCrc(wire);
+    EXPECT_EQ(decodeFrame(wire.data(), wire.size(), out).status,
+              DecodeStatus::Error);
+
+    wire.clear();
+    encodeBound(1, {4, 9}, wire);
+    storeLE(wire.data() + kHeaderSize + 6, static_cast<std::uint16_t>(9));
+    restampCrc(wire); // Indices 9, 9: not ascending.
+    EXPECT_EQ(decodeFrame(wire.data(), wire.size(), out).status,
+              DecodeStatus::Error);
 }
 
 } // namespace

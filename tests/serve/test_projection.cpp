@@ -29,8 +29,14 @@
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 
+#include "serve_support.hpp"
+
 namespace chaos::serve {
 namespace {
+
+using serve_testing::modelOver;
+using serve_testing::randomRow;
+using serve_testing::Recorder;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -42,72 +48,6 @@ projectionMisses()
                  obs::Stability::Scheduling)
         .value();
 }
-
-/** Largest plausible test value of catalog counter @p idx. */
-double
-valueCeiling(std::size_t idx)
-{
-    return std::min(50.0, CounterCatalog::instance().def(idx).maxPlausible);
-}
-
-/**
- * A linear model over the catalog counters @p indices (repeats
- * allowed: a model may read one counter as two features), fitted on
- * synthetic data; @p seed varies the coefficients.
- */
-MachinePowerModel
-modelOver(const std::vector<std::size_t> &indices, std::uint64_t seed)
-{
-    const auto &catalog = CounterCatalog::instance();
-    std::vector<std::string> names;
-    for (std::size_t idx : indices)
-        names.push_back(catalog.def(idx).name);
-    Rng rng(seed);
-    const std::size_t n = 120;
-    Matrix x(n, indices.size());
-    std::vector<double> y(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        y[i] = 20.0 + static_cast<double>(seed % 7);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-            x(i, j) = rng.uniform(0.0, valueCeiling(indices[j]));
-            y[i] += (0.1 + 0.05 * static_cast<double>(j)) * x(i, j);
-        }
-        y[i] += rng.normal(0.0, 0.05);
-    }
-    auto model = std::make_shared<LinearModel>();
-    model->fit(x, y);
-    return MachinePowerModel::fromParts(
-        FeatureSet{"projection-test", names}, std::move(model));
-}
-
-/** A full catalog row of plausible values (every counter set). */
-std::vector<double>
-randomRow(Rng &rng)
-{
-    const auto &catalog = CounterCatalog::instance();
-    std::vector<double> row(catalog.size());
-    for (std::size_t i = 0; i < row.size(); ++i)
-        row[i] = rng.uniform(0.0, valueCeiling(i));
-    return row;
-}
-
-/** Records every served estimate per machine index, in order. */
-class Recorder : public SampleObserver
-{
-  public:
-    void
-    onSample(MachineEntry &entry, OnlinePowerEstimator &, double estimateW,
-             double) override
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (entry.index() >= watts.size())
-            watts.resize(entry.index() + 1);
-        watts[entry.index()].push_back(estimateW);
-    }
-
-    std::mutex mu;
-    std::vector<std::vector<double>> watts;
-};
 
 /** The catalog counters the machines below read. */
 constexpr std::size_t kA = 3, kB = 7, kC = 12, kD = 20, kE = 30,
